@@ -68,14 +68,14 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f"  [{self.details}]" if self.details else ""
-        return f"{status}  {self.name}{extra}  ({self.seconds:.1f}s)"
+        return f"{status}  {self.name}{extra}"
 
 
 def _timed(fn):
     def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = fn(*args, **kwargs)
-        result.seconds = time.time() - t0
+        result.seconds = time.perf_counter() - t0
         return result
 
     wrapper.__name__ = fn.__name__

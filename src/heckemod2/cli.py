@@ -21,6 +21,11 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def _graded(indices):
     """Graded order, higher x-power first within a degree."""
     return sorted(indices, key=lambda ij: (ij[0] + ij[1], -ij[0]))
@@ -38,6 +43,8 @@ def _monomial(i: int, j: int) -> str:
 
 
 def cmd_m_table(args) -> int:
+    if args.degree < 0:
+        return _usage_error("--degree must be >= 0")
     table = MBasis()
     try:
         table.ensure_degree(args.degree)
@@ -57,8 +64,9 @@ def cmd_m_table(args) -> int:
 
 def cmd_tp_table(args) -> int:
     if args.p_max < 3:
-        print("error: --p-max must be at least 3", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error("--p-max must be at least 3")
+    if args.degree < 0:
+        return _usage_error("--degree must be >= 0")
     table = MBasis()
     try:
         table.ensure_degree(args.degree)
@@ -76,6 +84,8 @@ def cmd_tp_table(args) -> int:
 
 
 def cmd_theta_table(args) -> int:
+    if args.n_max < 1:
+        return _usage_error("--n-max must be >= 1")
     level = max(16, (args.precision + 1) // 2)
     for n in range(1, args.n_max + 1):
         for t in range(2 ** (n - 1) + 1):
@@ -99,8 +109,7 @@ def cmd_theta_table(args) -> int:
 def cmd_code_of(args) -> int:
     k = args.k
     if k < 1 or k % 2 == 0:
-        print(f"error: {k} is not an odd positive integer", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(f"{k} is not an odd positive integer")
     try:
         a, b = MBasis().code_of(k)
     except LevelExhausted as exc:
@@ -114,17 +123,13 @@ def cmd_decompose(args) -> int:
     try:
         text = sys.stdin.read() if args.file == "-" else open(args.file).read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(str(exc))
     try:
         exponents = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        print("error: input must be a comma-separated list of integers",
-              file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error("input must be a comma-separated list of integers")
     if not exponents or any(e < 1 or e % 2 == 0 for e in exponents):
-        print("error: exponents must be odd positive integers", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error("exponents must be odd positive integers")
     table = MBasis()
     try:
         table.ensure_level(max((max(exponents) + 1) // 2, 1))
@@ -151,10 +156,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.precision is not None and args.precision < 0:
+        return _usage_error("--precision must be >= 0")
     results = run_suite(args.suite, precision=args.precision)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(r.line())
+        print(f"{r.name}  ({r.seconds:.1f}s)", file=sys.stderr)
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return FAILURE if failed else 0
 
@@ -206,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    p = sub.add_parser("verify", help="run a named verification suite "
+                                      "(per-check seconds go to stderr)")
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
     p.add_argument("--precision", type=int, default=None,
                    help="working precision for the series-comparison "

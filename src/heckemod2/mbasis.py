@@ -20,7 +20,7 @@ from math import isqrt
 
 from .gf2 import LinearSolver
 from .primes import is_odd_prime
-from .series import F2Series, _mask, _odd_delta_power_bits
+from .series import F2Series, _odd_delta_power_bits
 from .spaces import DeltaCoords, _greedy_expand, hecke_matrix
 
 MIndex = tuple[int, int]
@@ -120,10 +120,11 @@ class MBasis:
             self._grow()
 
     def ensure_precision(self, precision: int):
+        """Raise the working precision to at least `precision`, at least
+        doubling it, so a run of rising requests regrows only O(log) times."""
         if precision > self._precision:
-            self._min_precision = precision
-            self._precision = precision
-            self._pows = _odd_delta_power_bits(self._level, precision)
+            self._min_precision = self._precision = max(precision, 2 * self._precision)
+            self._pows = _odd_delta_power_bits(self._level, self._precision)
 
     # -- table construction ------------------------------------------------
 
@@ -170,16 +171,7 @@ class MBasis:
         self.ensure(a, b)
         if precision is None:
             precision = self._precision
-        coords = self._entries[(a, b)]
-        if precision <= self._precision:
-            bits = 0
-            c = coords
-            while c:
-                lsb = c & -c
-                bits ^= self._pows[lsb.bit_length() - 1]
-                c ^= lsb
-            return F2Series(bits, precision)
-        return DeltaCoords(coords, self._level).to_series(precision)
+        return DeltaCoords(self._entries[(a, b)], self._level).to_series(precision)
 
     def dominant_exponent(self, a: int, b: int) -> int:
         """Largest exponent in the delta-basis support of m(a,b)."""
@@ -197,11 +189,7 @@ class MBasis:
             n = (f.precision + 1) // 2
             if n < 1:
                 raise ValueError("series precision too small to expand")
-            pows = (
-                [q & _mask(f.precision) for q in self._pows]
-                if f.precision <= self._precision and n <= self._level
-                else _odd_delta_power_bits(n, f.precision)
-            )
+            pows = _odd_delta_power_bits(n, f.precision)
             coords = _greedy_expand(f.bits, pows, n, f.precision)
             self.ensure_level(max(coords.bit_length(), 1))
             return coords

@@ -4,10 +4,15 @@ A series is known up to an inclusive exponent bound (its *precision*);
 coefficients beyond the bound are undefined and never stored.  The
 coefficient of q^e is bit e of an int, so addition is XOR and
 multiplication is a carry-free shift-and-XOR convolution.  Everything
-here is pure and immutable.
+here is pure and immutable except one shared, grow-only table of odd
+delta powers behind `_odd_delta_power_bits`: it is built on first use,
+only ever gains powers or precision, and each entry is an exact
+truncation of its delta power, so sharing it changes no result.
 """
 
 from __future__ import annotations
+
+import threading
 
 from .primes import is_odd_prime
 
@@ -167,28 +172,53 @@ def delta_pow(k: int, precision: int) -> F2Series:
     return acc
 
 
+# delta^(2i+1) for i = 0..len-1, each truncated at _powers_precision;
+# growth reads and rebinds both, so it holds the lock
+_powers: list[int] = []
+_powers_precision = -1
+_powers_lock = threading.Lock()
+
+
 def _odd_delta_power_bits(count: int, precision: int) -> list[int]:
-    """Bit-packed delta^(2i+1) for i = 0..count-1, all at the same precision."""
-    d = delta(precision)
-    d2 = square(d)
-    out = [d.bits]
-    cur = d
-    for _ in range(count - 1):
-        cur = mul(cur, d2)
-        out.append(cur.bits)
-    return out
+    """Bit-packed delta^(2i+1) for i = 0..count-1, correct through
+    `precision`; entries may carry bits above it, so mask before use.
+
+    Served from the shared table: more powers extend it by multiplying by
+    delta^2, more precision recomputes all its powers at exactly that
+    precision.  The returned list is a fresh copy, never changed by later
+    growth.
+    """
+    global _powers, _powers_precision
+    with _powers_lock:
+        want = max(count, len(_powers))
+        if not _powers or precision > _powers_precision:
+            _powers, _powers_precision = [delta(precision).bits], precision
+        if want > len(_powers):
+            d2 = square(delta(_powers_precision))
+            cur = F2Series(_powers[-1], _powers_precision)
+            for _ in range(want - len(_powers)):
+                cur = mul(cur, d2)
+                _powers.append(cur.bits)
+        return _powers[:count]
 
 
 def _hecke_bits(p: int, bits: int, precision: int) -> tuple[int, int]:
-    """Raw Hecke action on a bit-packed series; returns (bits, new precision)."""
+    """Raw Hecke action on a bit-packed series; returns (bits, new precision).
+
+    Bits above `precision` are ignored.  The coefficient string is built
+    once, the a_{pm} are read with one stride-p slice, and the a_{m/p}
+    terms are spread to every p-th place and XORed in, so the cost is
+    linear in the precision.
+    """
     np_ = precision // p
-    out = 0
-    for m in range(1, np_ + 1):
-        bit = (bits >> (p * m)) & 1
-        if m % p == 0:
-            bit ^= (bits >> (m // p)) & 1
-        if bit:
-            out |= 1 << m
+    if np_ == 0:
+        return 0, 0
+    # s[precision - e] is the coefficient of q^e
+    s = format(bits & _mask(precision), f"0{precision + 1}b")
+    out = int(s[precision - p * np_:precision:p], 2) << 1
+    k = np_ // p
+    if k:
+        out ^= int(("0" * (p - 1)).join(s[precision - k:precision]) + "0" * p, 2)
     return out, np_
 
 

@@ -71,9 +71,11 @@ class DeltaCoords:
 
 
 def _greedy_expand(bits: int, pows: list[int], n: int, precision: int) -> int:
-    """Eliminate leading exponents against delta powers; pows must be at
-    exactly `precision`."""
-    residue = bits & _mask(precision)
+    """Eliminate leading exponents against delta powers; pows must be
+    correct through `precision` and may carry bits above it, which are
+    masked off before each XOR."""
+    mask = _mask(precision)
+    residue = bits & mask
     coords = 0
     while residue:
         e = lowest_bit(residue)
@@ -83,7 +85,7 @@ def _greedy_expand(bits: int, pows: list[int], n: int, precision: int) -> int:
             raise NotInSpan(f"leading exponent {e} exceeds 2n-1 = {2 * n - 1}")
         i = (e - 1) // 2
         coords |= 1 << i
-        residue ^= pows[i]
+        residue ^= pows[i] & mask
     return coords
 
 
@@ -119,13 +121,11 @@ def hecke_matrix(p: int, n: int) -> GF2Matrix:
         raise ValueError("level must be >= 1")
     big = p * (2 * n - 1)
     pows = _odd_delta_power_bits(n, big)
-    small_mask = _mask(2 * n - 1)
-    small_pows = [q & small_mask for q in pows]
     cols = []
     for k in range(n):
         hbits, hprec = _hecke_bits(p, pows[k], big)
         try:
-            c = _greedy_expand(hbits, small_pows, n, hprec)
+            c = _greedy_expand(hbits, pows, n, hprec)
         except NotInSpan as exc:
             raise RuntimeError(
                 f"stability violated: T_{p} delta^{2 * k + 1} left level {n} ({exc})"

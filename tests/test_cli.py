@@ -99,6 +99,31 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "theta", "--precision", "-100"),
+    ("m-table", "--degree", "-3"),
+    ("tp-table", "--degree", "-1"),
+    ("theta-table", "--n-max", "0"),
+])
+def test_negative_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_timings_go_to_stderr(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "mbasis")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "4/4 checks passed"
+    assert all(line.startswith("PASS  ") and not line.endswith("s)")
+               for line in lines[:-1])
+    timings = err.splitlines()
+    assert len(timings) == 4
+    assert all(line.endswith("s)") for line in timings)
+    assert run_cli(capsys, "verify", "--suite", "mbasis")[1] == out
+
+
 def test_determinism(capsys):
     outputs = []
     for _ in range(2):

@@ -1,0 +1,46 @@
+"""Golden output: the sha256 of stdout for every subcommand.
+
+The digests were recorded from the tree before the linear-time Hecke
+kernel and the shared delta-power table went in, so any change to the
+bytes the CLI prints shows up here.  `verify` used to print each check's
+wall time on stdout; its digest was taken with those `  (N.Ns)` suffixes
+removed, which is exactly what it prints now.
+"""
+
+import hashlib
+import io
+import sys
+
+import pytest
+
+from heckemod2.cli import main
+
+GOLDEN = [
+    (["m-table"], None,
+     "c4b710da7078311f91b3bcec9f681f506ac7329af8eaf0aad2c4528d034fb701"),
+    (["tp-table"], None,
+     "ef53b4f07a9b0fe86b0992ecf9e11ec9f857a2a63eb4fe52cb0dbcbec7a21608"),
+    (["theta-table"], None,
+     "d7c80a6b6e78bc9bf79b0b23642af9cefb7cf8447bdb9e128dcd9837f2593a5c"),
+    (["code-of", "19"], None,
+     "52186c933993da4082b3cdc7c40bb4bf735b391ff54a2ef78c037dda6c38a680"),
+    (["decompose", "-"], "11,19\n",
+     "68eda2b4157af7dff8202ee587847fbcf1af34f9f723b4169495ab4581751674"),
+    (["verify"], None,
+     "57e8a6efee00cfb4cd4540a344a8ecbe23477fd833fa207550ba61fdb3cdbd3e"),
+    (["m-table", "--degree", "24", "--format", "csv"], None,
+     "e779976ed676f3e2db4e18a332afb7ba8b9e2f4034ec9f3d6318a23e879f14a1"),
+    (["theta-table", "--c", "4", "--n-max", "5", "--precision", "341",
+      "--format", "csv"], None,
+     "a47adc5a7c706baaa721fafa4f26c7887b5a4e63f31d310ce513a36dca1f3fae"),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,digest", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_stdout_digest(argv, stdin, digest, capsys, monkeypatch):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

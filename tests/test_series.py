@@ -1,12 +1,19 @@
 """Series arithmetic against brute-force oracles and the stated examples."""
 
+import random
+import sys
+import threading
+from contextlib import contextmanager
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckemod2.primes import odd_prime_factors
-from heckemod2.series import (F2Series, PrecisionError, delta, delta_pow,
-                              hecke, mul, square)
+from heckemod2 import series
+from heckemod2.primes import odd_prime_factors, odd_primes
+from heckemod2.series import (F2Series, PrecisionError, _hecke_bits, _mask,
+                              _odd_delta_power_bits, delta, delta_pow, hecke,
+                              mul, square)
 
 # -- independent oracles -------------------------------------------------------
 
@@ -32,6 +39,44 @@ def hecke_oracle(p: int, f: F2Series) -> F2Series:
         if bit:
             out.append(m)
     return F2Series.from_exponents(out, f.precision // p)
+
+
+def hecke_bits_reference(p: int, bits: int, precision: int) -> tuple[int, int]:
+    """Reference Hecke kernel: one shifted read per coefficient, so
+    quadratic per column."""
+    np_ = precision // p
+    out = 0
+    for m in range(1, np_ + 1):
+        bit = (bits >> (p * m)) & 1
+        if m % p == 0:
+            bit ^= (bits >> (m // p)) & 1
+        if bit:
+            out |= 1 << m
+    return out, np_
+
+
+def odd_delta_power_bits_reference(count: int, precision: int) -> list[int]:
+    """Reference powers: delta^(2i+1) for i < count, exactly at
+    `precision`, recomputed from scratch on every call."""
+    d = delta(precision)
+    d2 = square(d)
+    out = [d.bits]
+    cur = d
+    for _ in range(count - 1):
+        cur = mul(cur, d2)
+        out.append(cur.bits)
+    return out
+
+
+@contextmanager
+def fresh_power_table():
+    """Run with the shared delta-power table emptied, then restore it."""
+    saved = series._powers, series._powers_precision
+    series._powers, series._powers_precision = [], -1
+    try:
+        yield
+    finally:
+        series._powers, series._powers_precision = saved
 
 
 def pow_oracle(k: int, precision: int) -> F2Series:
@@ -152,6 +197,93 @@ def test_hecke_rejects_non_odd_primes(p):
 def test_hecke_matches_definition(f, p):
     assert hecke(p, f) == hecke_oracle(p, f)
     assert hecke(p, f).precision == f.precision // p
+
+
+@st.composite
+def hecke_inputs(draw):
+    """(p, precision, bits) with up to 80 junk bits above the precision."""
+    p = draw(st.sampled_from(odd_primes(1009)))
+    precision = draw(st.integers(0, 6000))
+    junk = draw(st.integers(0, 80))
+    return p, precision, draw(st.integers(0, (1 << (precision + 1 + junk)) - 1))
+
+
+@given(hecke_inputs())
+@settings(max_examples=150, deadline=None)
+@example((1009, 500, (1 << 531) - 1))
+@example((3, 0, 0b11111))
+@example((7, 6000, (1 << 6040) - 1))
+def test_hecke_bits_matches_reference(case):
+    """The sliced kernel against the per-coefficient loop, including
+    p > precision and bits above the precision (which must be ignored)."""
+    p, precision, bits = case
+    assert (_hecke_bits(p, bits, precision)
+            == hecke_bits_reference(p, bits & _mask(precision), precision))
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 400)),
+                min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_power_table_serves_exact_truncations(requests):
+    """Any sequence of requests (growing, shrinking, regrowing either
+    dimension) returns delta^(2i+1) correct through the requested
+    precision, and never alters a list returned earlier."""
+    with fresh_power_table():
+        returned = []
+        for count, precision in requests:
+            pows = _odd_delta_power_bits(count, precision)
+            assert len(pows) == count
+            ref = odd_delta_power_bits_reference(count, precision)
+            for i, bits in enumerate(pows):
+                assert F2Series(bits, precision) == delta_pow(2 * i + 1, precision)
+                assert bits & _mask(precision) == ref[i]
+            returned.append((pows, list(pows)))
+        for pows, snapshot in returned:
+            assert pows == snapshot
+
+
+def test_power_table_regrows_precision_keeping_its_powers():
+    with fresh_power_table():
+        _odd_delta_power_bits(12, 50)
+        assert series._powers_precision == 50
+        pows = _odd_delta_power_bits(3, 120)
+        assert series._powers_precision == 120 and len(series._powers) == 12
+        assert pows == odd_delta_power_bits_reference(3, 120)
+        # a lower precision is served from the table, extra bits included
+        low = _odd_delta_power_bits(12, 40)
+        assert low == series._powers
+        assert [b & _mask(40) for b in low] == odd_delta_power_bits_reference(12, 40)
+
+
+def test_power_table_under_threads():
+    """Concurrent requests that keep regrowing the table each get exact
+    truncations."""
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for step in range(150):
+            # precision keeps rising, so extensions race with regrowths
+            count, precision = rng.randint(1, 40), 4 * step + rng.randint(0, 8)
+            pows = _odd_delta_power_bits(count, precision)
+            ref = odd_delta_power_bits_reference(count, precision)
+            if [b & _mask(precision) for b in pows] != ref:
+                errors.append((count, precision))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with fresh_power_table():
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
 
 
 def test_hecke_commutativity():

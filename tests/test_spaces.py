@@ -1,13 +1,17 @@
 """Filtration levels, Hecke matrices, algebra and commutant dimensions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckemod2.gf2 import GF2Matrix, rank
-from heckemod2.series import F2Series, PrecisionError, delta, delta_pow, hecke
+from heckemod2.series import (F2Series, PrecisionError, _mask, delta,
+                              delta_pow, hecke)
 from heckemod2.spaces import (AlgebraSpan, DeltaCoords, NotInSpan,
-                              algebra_dimension, check_divisibility,
-                              commutant_dimension, expand_in_delta_basis,
-                              hecke_matrix, kernel, nilpotency_index)
+                              _greedy_expand, algebra_dimension,
+                              check_divisibility, commutant_dimension,
+                              expand_in_delta_basis, hecke_matrix, kernel,
+                              nilpotency_index)
 
 # -- delta-basis expansion ----------------------------------------------------
 
@@ -39,6 +43,44 @@ def test_expand_roundtrip():
     for coords in (0b1, 0b1011, 0b11111, 0b10000001):
         f = DeltaCoords(coords, 8).to_series(63)
         assert expand_in_delta_basis(f, 8).coords == coords
+
+
+@st.composite
+def greedy_inputs(draw):
+    """(n, precision, extra, coords, junk): a level-n element at a precision
+    >= 2n-1, powers taken `extra` places deeper, junk bits above it."""
+    n = draw(st.integers(1, 40))
+    precision = draw(st.integers(2 * n - 1, 2 * n + 60))
+    extra = draw(st.integers(1, 200))
+    coords = draw(st.integers(0, (1 << n) - 1))
+    junk = draw(st.integers(0, (1 << 64) - 1))
+    return n, precision, extra, coords, junk
+
+
+def _expand_or_error(bits, pows, n, precision):
+    try:
+        return _greedy_expand(bits, pows, n, precision)
+    except NotInSpan as exc:
+        return str(exc)
+
+
+@given(greedy_inputs(), st.integers(0, (1 << 120) - 1))
+@settings(max_examples=150, deadline=None)
+def test_greedy_expand_ignores_bits_above_precision(case, noise):
+    """Powers carrying true bits above the precision, and an input with junk
+    above it, give the same coordinates (or the same NotInSpan) as powers
+    truncated at exactly the precision."""
+    n, precision, extra, coords, junk = case
+    exact = [delta_pow(2 * i + 1, precision).bits for i in range(n)]
+    deep = [delta_pow(2 * i + 1, precision + extra).bits for i in range(n)]
+    bits = junk << (precision + 1)
+    for i in range(n):
+        if coords >> i & 1:
+            bits ^= exact[i]
+    assert _greedy_expand(bits, deep, n, precision) == coords
+    noisy = bits ^ (noise & _mask(precision))
+    assert (_expand_or_error(noisy, deep, n, precision)
+            == _expand_or_error(noisy, exact, n, precision))
 
 
 def test_leading_and_dominant_exponent():
