@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .checks import SUITES, run_suite
-from .mbasis import LevelExhausted, MBasis
+from .mbasis import LEVEL_CAP, LevelExhausted, MBasis, code_exponent
 from .primes import odd_primes
 from .spaces import DeltaCoords, NotInSpan, expand_in_delta_basis
 from .theta import theta_coords
@@ -86,18 +86,22 @@ def cmd_tp_table(args) -> int:
 def cmd_theta_table(args) -> int:
     if args.n_max < 1:
         return _usage_error("--n-max must be >= 1")
-    level = max(16, (args.precision + 1) // 2)
+    # every series lies in the span of m(a,0) (c = 2), resp. m(0,b) (c = 4),
+    # with index below 2^(n-1), so its delta exponents are at most this
+    top = (1 << (args.n_max - 1)) - 1
+    exponent = code_exponent(top, 0) if args.c == 2 else code_exponent(0, top)
+    level = max(16, (args.precision + 1) // 2, (exponent + 1) // 2)
+    if level > LEVEL_CAP:
+        print(f"error: level {level} needed, over the level cap {LEVEL_CAP}",
+              file=sys.stderr)
+        return FAILURE
     for n in range(1, args.n_max + 1):
         for t in range(2 ** (n - 1) + 1):
-            while True:
-                try:
-                    coords = theta_coords(t, n, args.c, level)
-                    break
-                except NotInSpan:
-                    level *= 2
-                    if level > 1 << 13:
-                        print("error: precision exhausted", file=sys.stderr)
-                        return FAILURE
+            try:
+                coords = theta_coords(t, n, args.c, level)
+            except NotInSpan as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return FAILURE
             exps = " ".join(str(e) for e in coords.support_exponents())
             if args.format == "csv":
                 print(f"{args.c},{n},{t},{exps}")
@@ -110,11 +114,7 @@ def cmd_code_of(args) -> int:
     k = args.k
     if k < 1 or k % 2 == 0:
         return _usage_error(f"{k} is not an odd positive integer")
-    try:
-        a, b = MBasis().code_of(k)
-    except LevelExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE
+    a, b = MBasis().code_of(k)
     print(f"{a},{b}")
     return 0
 
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="form parameter: 2 for x^2+2y^2, 4 for x^2+4y^2")
     p.add_argument("--precision", type=int, default=0,
                    help="minimum series precision for the expansion "
-                        "(grown automatically when too small)")
+                        "(raised to the bound that certifies every row)")
     p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_theta_table)
 

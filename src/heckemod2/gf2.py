@@ -7,7 +7,13 @@ deterministic.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
+from operator import xor
 from typing import Iterable, Sequence
+
+# maps the digits of a binary string to the bytes 0 and 1
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def parity(x: int) -> int:
@@ -17,6 +23,23 @@ def parity(x: int) -> int:
 def lowest_bit(x: int) -> int:
     """Index of the lowest set bit; x must be nonzero."""
     return (x & -x).bit_length() - 1
+
+
+def even_bits(x: int) -> int:
+    """Bits 0, 2, 4, ... of x >= 0, packed into bits 0, 1, 2, ..."""
+    return int(format(x, "b")[::-2][::-1], 2)
+
+
+def spread_bits(x: int) -> int:
+    """Inverse of even_bits: bit i of x >= 0 moves to bit 2i."""
+    return int("0".join(format(x, "b")), 2)
+
+
+def apply_columns(cols: Sequence[int], v: int) -> int:
+    """Matrix-vector product over GF(2) from the columns: the XOR of
+    cols[i] over the set bits i of v."""
+    flags = format(v, "b")[::-1].encode().translate(_BIT_FLAGS)
+    return reduce(xor, compress(cols, flags), 0)
 
 
 class Span:

@@ -2,11 +2,13 @@
 
 m(a,b) is the unique series in the span of odd delta powers with
 T_3 m(a,b) = m(a-1,b), T_5 m(a,b) = m(a,b-1) (zero when an index hits the
-boundary) and q^1 coefficient 1 exactly at (a,b) = (0,0).  Each entry is
-found by solving the stacked GF(2) system [T_3; T_5; e] f = rhs at the
-current level, doubling the level until the system is solvable; the
-stacked system has trivial kernel at every level, so a solution found at
-any level is the element.
+boundary) and q^1 coefficient 1 exactly at (a,b) = (0,0).  Its largest
+delta exponent has a closed form: the code of an odd k, read off the
+binary digits of (k-1)/2, is the (a,b) whose m(a,b) peaks at delta^k.  So
+the level that holds an entry is known before any matrix is built, and
+each entry is found by one solve of the stacked GF(2) system
+[T_3; T_5; e] f = rhs at that level; the stacked system has trivial
+kernel at every level, so the solution is the element.
 
 The same table drives the expansion of every T_p as a series in x = T_3
 and y = T_5: the coefficient of x^i y^j in T_p is the q^p coefficient of
@@ -18,19 +20,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .gf2 import LinearSolver
+from .gf2 import LinearSolver, apply_columns, even_bits, spread_bits
 from .primes import is_odd_prime
 from .series import F2Series, _odd_delta_power_bits
-from .spaces import DeltaCoords, _greedy_expand, hecke_matrix
+from .spaces import DeltaCoords, _greedy_expand, hecke_columns, hecke_matrix
 
 MIndex = tuple[int, int]
+
+LEVEL_CAP = 8192
 
 # (i mod 2, j mod 2) forced on every monomial of T_p, by p mod 8
 PARITY_PATTERN = {1: (0, 0), 3: (1, 0), 5: (0, 1), 7: (1, 1)}
 
 
 class LevelExhausted(RuntimeError):
-    """The level cap was hit before a solvable level was found."""
+    """A computation needs a level over the level cap."""
+
+
+def code_of(k: int) -> MIndex:
+    """The index (a,b) whose m(a,b) has dominant exponent k, k odd >= 1:
+    the bits of (k-1)/2 at even positions are the binary digits of a, the
+    bits at odd positions those of b."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"expected an odd positive exponent, got {k}")
+    j = (k - 1) // 2
+    return even_bits(j), even_bits(j >> 1)
+
+
+def code_exponent(a: int, b: int) -> int:
+    """The odd k whose code is (a,b): the dominant exponent of m(a,b)."""
+    if a < 0 or b < 0:
+        raise ValueError("indices must be >= 0")
+    return 2 * (spread_bits(a) | spread_bits(b) << 1) + 1
+
+
+def code_level(a: int, b: int) -> int:
+    """The least level whose space holds m(a,b)."""
+    return (code_exponent(a, b) + 1) // 2
+
+
+def degree_level(degree: int) -> int:
+    """The least level holding every m(a,b) with a + b <= degree.  The
+    code exponent grows with a and with b, so it peaks on a + b = degree."""
+    return max(code_level(a, degree - a) for a in range(degree + 1))
 
 
 @dataclass(frozen=True)
@@ -63,42 +95,47 @@ def _odd_b_representation(p: int, c: int) -> bool:
 
 
 class MBasis:
-    """Table of m(a,b) elements, grown on demand.
+    """Table of m(a,b) elements at one working level.
 
-    The table owns one level (a power-of-two multiple of `start_level`),
-    the T_3/T_5 matrices there, a prefactored solver for the stacked
-    system, and delta powers at a working precision of at least
-    max(2*level - 1, min_precision).  Construction is sequential; a
-    completed table is read-only for consumers.
+    Nothing is built at construction.  A request that needs a higher level
+    moves the table there once, at least doubling the level (and never
+    below `start_level`), and rebuilds there the T_3/T_5 columns and
+    matrices and a prefactored solver for the stacked system.  A level
+    over `level_cap` raises LevelExhausted before anything is built.
+    Delta powers, for T_p expansions, are taken at a working precision of
+    at least max(2*level - 1, min_precision).  Construction is sequential;
+    a completed table is read-only for consumers.
     """
 
-    def __init__(self, start_level: int = 16, level_cap: int = 8192,
+    def __init__(self, start_level: int = 16, level_cap: int = LEVEL_CAP,
                  min_precision: int = 1024):
         if start_level < 1:
             raise ValueError("start_level must be >= 1")
-        self._level = start_level
+        self._start = start_level
+        self._level = 0
+        self._degree = -1
         self._cap = level_cap
         self._min_precision = min_precision
+        self._pows = None
         self._entries: dict[MIndex, int] = {}
-        self._rebuild()
 
     # -- level / precision management -------------------------------------
 
     @property
     def level(self) -> int:
+        """The working level; 0 until something is built."""
         return self._level
 
     @property
     def precision(self) -> int:
-        return self._precision
+        return max(2 * self._level - 1, self._min_precision)
 
     def _rebuild(self):
         n = self._level
-        self._t3 = hecke_matrix(3, n)
-        self._t5 = hecke_matrix(5, n)
-        self._precision = max(2 * n - 1, self._min_precision)
-        self._pows = _odd_delta_power_bits(n, self._precision)
-        rows = list(self._t3.rows) + list(self._t5.rows) + [1]
+        self._t3 = hecke_columns(3, n)
+        self._t5 = hecke_columns(5, n)
+        self._pows = None
+        rows = hecke_matrix(3, n).rows + hecke_matrix(5, n).rows + (1,)
         solver = LinearSolver(rows, n)
         if solver.kernel_dimension != 0:
             raise RuntimeError(
@@ -107,50 +144,51 @@ class MBasis:
             )
         self._solver = solver
 
-    def _grow(self):
-        if 2 * self._level > self._cap:
+    def _grow(self, level: int):
+        if level > self._cap:
             raise LevelExhausted(
-                f"precision exhausted: level cap {self._cap} reached"
+                f"level {level} needed, over the level cap {self._cap}"
             )
-        self._level *= 2
+        self._level = min(max(level, 2 * self._level, self._start), self._cap)
         self._rebuild()
 
     def ensure_level(self, level: int):
-        while self._level < level:
-            self._grow()
+        if level > self._level:
+            self._grow(level)
 
     def ensure_precision(self, precision: int):
         """Raise the working precision to at least `precision`, at least
         doubling it, so a run of rising requests regrows only O(log) times."""
-        if precision > self._precision:
-            self._min_precision = self._precision = max(precision, 2 * self._precision)
-            self._pows = _odd_delta_power_bits(self._level, self._precision)
+        if precision > self.precision:
+            self._min_precision = max(precision, 2 * self.precision)
+            self._pows = None
+
+    def _delta_powers(self) -> list[int]:
+        if self._pows is None:
+            self._pows = _odd_delta_power_bits(self._level, self.precision)
+        return self._pows
 
     # -- table construction ------------------------------------------------
 
     def _solve(self, a: int, b: int) -> int:
         n = self._level
-        rhs_t3 = self._entries[(a - 1, b)] if a > 0 else 0
-        rhs_t5 = self._entries[(a, b - 1)] if b > 0 else 0
-        rhs = rhs_t3 | (rhs_t5 << n)
+        rhs = self._entries[(a - 1, b)] if a > 0 else 0
+        if b > 0:
+            rhs |= self._entries[(a, b - 1)] << n
         if (a, b) == (0, 0):
             rhs |= 1 << (2 * n)
         sol = self._solver.solve(rhs)
-        while sol is None:
-            self._grow()
-            n = self._level
-            rhs = rhs_t3 | (rhs_t5 << n)
-            if (a, b) == (0, 0):
-                rhs |= 1 << (2 * n)
-            sol = self._solver.solve(rhs)
+        if sol is None:
+            raise RuntimeError(
+                f"m({a},{b}) has no solution at level {n}, which holds its code"
+            )
         return sol
 
     def ensure(self, a: int, b: int):
         """Solve for m(a,b), recursively solving its parents first."""
         if (a, b) in self._entries:
             return
-        if a < 0 or b < 0:
-            raise ValueError("indices must be >= 0")
+        self.ensure_level(code_level(a, b))
         if a > 0:
             self.ensure(a - 1, b)
         if b > 0:
@@ -158,9 +196,19 @@ class MBasis:
         self._entries[(a, b)] = self._solve(a, b)
 
     def ensure_degree(self, degree: int):
+        """Solve every m(a,b) with a + b <= degree, at a level computed
+        once per new degree."""
+        if degree <= self._degree:
+            return
+        # m(0, degree) alone rules out a degree too deep for the cap
+        level = code_level(0, degree)
+        if level <= self._cap:
+            level = degree_level(degree)
+        self.ensure_level(level)
         for d in range(degree + 1):
             for a in range(d, -1, -1):
                 self.ensure(a, d - a)
+        self._degree = degree
 
     def element(self, a: int, b: int) -> DeltaCoords:
         self.ensure(a, b)
@@ -170,11 +218,12 @@ class MBasis:
         """q-expansion of m(a,b), at the table precision by default."""
         self.ensure(a, b)
         if precision is None:
-            precision = self._precision
+            precision = self.precision
         return DeltaCoords(self._entries[(a, b)], self._level).to_series(precision)
 
     def dominant_exponent(self, a: int, b: int) -> int:
-        """Largest exponent in the delta-basis support of m(a,b)."""
+        """Largest exponent in the delta-basis support of m(a,b), read off
+        the solved entry."""
         self.ensure(a, b)
         return 2 * (self._entries[(a, b)].bit_length() - 1) + 1
 
@@ -199,8 +248,8 @@ class MBasis:
         """Support of the expansion of f in the m(a,b) basis.
 
         The coefficient at (a,b) is the q^1 coefficient of T_3^a T_5^b f,
-        read off through the exact level matrices; the support is finite
-        because both matrices are nilpotent.
+        read off through the columns of the exact level matrices; the
+        support is finite because both matrices are nilpotent.
         """
         coords = self._coerce(f)
         t3, t5 = self._t3, self._t5
@@ -213,11 +262,11 @@ class MBasis:
             while w:
                 if w & 1:
                     out.add((a, b))
-                w = t3.apply(w)
+                w = apply_columns(t3, w)
                 a += 1
                 if a > self._level:
                     raise RuntimeError("T_3 chain failed to terminate")
-            v = t5.apply(v)
+            v = apply_columns(t5, v)
             b += 1
             if b > self._level:
                 raise RuntimeError("T_5 chain failed to terminate")
@@ -225,6 +274,7 @@ class MBasis:
 
     def recompose(self, support) -> DeltaCoords:
         """Sum of m(a,b) over an index set, at the current level."""
+        self.ensure_level(1)
         acc = 0
         for a, b in support:
             self.ensure(a, b)
@@ -249,26 +299,9 @@ class MBasis:
         return DeltaCoords(1 << ((k - 1) // 2), self._level)
 
     def code_of(self, k: int) -> MIndex:
-        """The index (a,b) whose m(a,b) has dominant exponent k.
-
-        Computed from the m-expansion of delta^k: take the indices of
-        maximal total degree; a singleton stratum is the answer, and ties
-        are resolved by cross-referencing dominant exponents in the table
-        (delta^19 carries both (3,0) and (1,2) at degree 3, and only
-        m(1,2) tops out at 19).
-        """
-        support = self.coefficients(self.delta_power_coords(k))
-        top = max(a + b for a, b in support)
-        stratum = sorted((a, b) for a, b in support if a + b == top)
-        if len(stratum) == 1:
-            return stratum[0]
-        matches = [ab for ab in stratum if self.dominant_exponent(*ab) == k]
-        if len(matches) != 1:
-            raise RuntimeError(
-                f"code of {k} not recoverable: maximal stratum {stratum} "
-                f"has {len(matches)} dominant-exponent matches"
-            )
-        return matches[0]
+        """The index (a,b) whose m(a,b) has dominant exponent k, by the
+        closed form; nothing is built."""
+        return code_of(k)
 
     # -- T_p as a series in x = T_3, y = T_5 ---------------------------------
 
@@ -281,7 +314,7 @@ class MBasis:
         self.ensure_degree(degree)
         self.ensure_precision(p)
         probe = 0
-        for i, bits in enumerate(self._pows):
+        for i, bits in enumerate(self._delta_powers()):
             probe |= ((bits >> p) & 1) << i
         return frozenset(
             (i, j)
@@ -315,34 +348,24 @@ class MBasis:
         the smallest odd k with u(T_3, T_5) delta^k = delta.
 
         Selection: among the support indices of minimal total degree take
-        the one with maximal first index; k is the smallest odd integer
-        whose code is that pair.  The defining identity is then verified
-        by direct computation before returning.
+        the one with maximal first index; k is the one odd integer whose
+        code is that pair.  The defining identity is then verified by
+        direct computation before returning.
         """
         support = frozenset(support)
         if not support:
             raise ValueError("zero series has no witness")
-        if (0, 0) in support:
-            k = 1
-        else:
-            dmin = min(i + j for i, j in support)
-            a = max(i for i, j in support if i + j == dmin)
-            b = dmin - a
-            bound = self.dominant_exponent(a, b)
-            k = next(
-                (kk for kk in range(1, bound + 1, 2) if self.code_of(kk) == (a, b)),
-                None,
-            )
-            if k is None:
-                raise RuntimeError(f"witness search exhausted below {bound}")
-        acc = 0
+        dmin = min(i + j for i, j in support)
+        a = max(i for i, j in support if i + j == dmin)
+        k = code_exponent(a, dmin - a)
         base = self.delta_power_coords(k).coords
+        acc = 0
         for i, j in support:
             v = base
             for _ in range(j):
-                v = self._t5.apply(v)
+                v = apply_columns(self._t5, v)
             for _ in range(i):
-                v = self._t3.apply(v)
+                v = apply_columns(self._t3, v)
             acc ^= v
         if acc != 1:
             raise RuntimeError(

@@ -9,10 +9,12 @@ at construction time, as is stability of the level under T_p.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
-from .gf2 import GF2Matrix, Span, lowest_bit, nullspace, rank
+from .gf2 import GF2Matrix, Span, even_bits, lowest_bit, nullspace, rank
 from .primes import is_odd_prime
 from .series import F2Series, PrecisionError, _hecke_bits, _mask, _odd_delta_power_bits
 
@@ -106,37 +108,103 @@ def expand_in_delta_basis(f: F2Series, n: int) -> DeltaCoords:
     return DeltaCoords(_greedy_expand(f.bits, pows, n, f.precision), n)
 
 
-@lru_cache(maxsize=None)
-def hecke_matrix(p: int, n: int) -> GF2Matrix:
-    """Matrix of T_p on the level-n space, columns indexed by delta^(2k+1).
+# The mod-2 modular equation Phi_p(X, Y) = 0 between X = delta(q) and
+# Y = delta(q^p), as the monomials X^i Y^j of Phi_p.
+MODULAR_EQUATIONS = {
+    3: frozenset({(4, 0), (1, 1), (0, 4)}),
+    5: frozenset({(6, 0), (4, 2), (2, 4), (1, 1), (0, 6)}),
+    7: frozenset({(8, 0), (2, 2), (1, 1), (0, 8)}),
+}
+# primes whose columns come from the recurrence, not from q-expansions
+RECURRENCE_PRIMES = (3, 5)
 
-    Internally the delta powers are taken at precision p(2n-1) so the Hecke
-    image is known up to 2n-1.  Stability of the level under T_p and strict
-    triangularity are checked and violations abort loudly: either would be
-    an arithmetic bug, not a mathematical possibility.
+
+def _hecke_polynomials(p: int):
+    """T(k) = T_p(delta^k) for k = 0, 1, 2, ..., as polynomials in delta,
+    each an int with bit e the coefficient of delta^e.
+
+    Since U_p(g(q) h(q^p)) = h(q) U_p(g) and Phi_p is symmetric,
+    multiplying delta^k by the relation X^(p+1) = sum X^i Y^j gives the
+    recurrence T(k) = sum delta^j T(k-p-1+i); it starts from T(k) = 0 for
+    k < p and T(p) = delta.
     """
-    if not is_odd_prime(p):
-        raise ValueError(f"Hecke matrix requires an odd prime, got {p}")
-    if n < 1:
-        raise ValueError("level must be >= 1")
+    steps = [(j, p + 1 - i) for i, j in MODULAR_EQUATIONS[p] if i <= p]
+    window = deque([0] * p + [0b10], maxlen=p + 1)
+    yield from window
+    while True:
+        t = 0
+        for shift, back in steps:
+            t ^= window[-back] << shift
+        window.append(t)
+        yield t
+
+
+def _recurrence_columns(p: int, n: int) -> list[int]:
+    """Columns of T_p on the level-n space: column k is the odd-position
+    bits of T(2k+1), whose even-position bits must be zero."""
+    cols = []
+    for t in islice(_hecke_polynomials(p), 1, 2 * n, 2):
+        if even_bits(t):
+            raise RuntimeError(
+                f"stability violated: T_{p} delta^{2 * len(cols) + 1} "
+                "involves an even power of delta")
+        cols.append(even_bits(t >> 1))
+    return cols
+
+
+def _direct_columns(p: int, n: int) -> list[int]:
+    """Columns of T_p on the level-n space from q-expansions: the delta
+    powers are taken at precision p(2n-1) so each Hecke image is known up
+    to 2n-1, then expanded back in the delta basis."""
     big = p * (2 * n - 1)
     pows = _odd_delta_power_bits(n, big)
     cols = []
     for k in range(n):
         hbits, hprec = _hecke_bits(p, pows[k], big)
         try:
-            c = _greedy_expand(hbits, pows, n, hprec)
+            cols.append(_greedy_expand(hbits, pows, n, hprec))
         except NotInSpan as exc:
             raise RuntimeError(
                 f"stability violated: T_{p} delta^{2 * k + 1} left level {n} ({exc})"
             ) from exc
+    return cols
+
+
+def _checked_columns(p: int, n: int) -> tuple[int, ...]:
+    """Columns of T_p on the level-n space: column k is the image of
+    delta^(2k+1).  T_3 and T_5 come from their modular-equation recurrence,
+    every other prime from q-expansions.  Stability of the level and
+    strict triangularity are checked and violations abort loudly: either
+    would be an arithmetic bug, not a mathematical possibility."""
+    if not is_odd_prime(p):
+        raise ValueError(f"Hecke matrix requires an odd prime, got {p}")
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    build = _recurrence_columns if p in RECURRENCE_PRIMES else _direct_columns
+    cols = tuple(build(p, n))
+    for k, c in enumerate(cols):
         if c >> k:
             raise RuntimeError(
                 f"triangularity violated: T_{p} delta^{2 * k + 1} "
                 f"involves exponents >= {2 * k + 1}"
             )
-        cols.append(c)
-    return GF2Matrix.from_columns(cols, n)
+    return cols
+
+
+@lru_cache(maxsize=None)
+def hecke_columns(p: int, n: int) -> tuple[int, ...]:
+    """Columns of T_p on the level-n space, kept for reuse."""
+    return _checked_columns(p, n)
+
+
+@lru_cache(maxsize=None)
+def hecke_matrix(p: int, n: int) -> GF2Matrix:
+    """Matrix of T_p on the level-n space, columns indexed by delta^(2k+1).
+    Only the columns of T_3 and T_5, which the m-basis applies, are kept
+    as well."""
+    if p in RECURRENCE_PRIMES:
+        return GF2Matrix.from_columns(hecke_columns(p, n), n)
+    return GF2Matrix.from_columns(_checked_columns(p, n), n)
 
 
 class AlgebraSpan:

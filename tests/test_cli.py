@@ -1,10 +1,12 @@
 """Command-line interface: schemas, round trips, determinism, exit codes."""
 
+import io
 import subprocess
 import sys
 
 import pytest
 
+from heckemod2 import cli, mbasis
 from heckemod2.cli import main
 
 
@@ -54,6 +56,50 @@ def test_theta_table_c4(capsys):
                            "--format", "csv")
     assert code == 0
     assert "4,3,1,5 13 21" in out.splitlines()
+
+
+def test_theta_table_rows_are_certified(capsys):
+    """At the default precision every row is complete: the level is taken
+    up front from the span equality, not grown on failure."""
+    code, out, _ = run_cli(capsys, "theta-table", "--n-max", "4",
+                           "--format", "csv")
+    assert code == 0
+    assert "2,4,6,17 25 41" in out.splitlines()
+    assert "2,4,7,43" in out.splitlines()
+    code, deep, _ = run_cli(capsys, "theta-table", "--n-max", "4",
+                            "--format", "csv", "--precision", "400")
+    assert code == 0 and out == deep
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Make any Hecke matrix or theta series build fail the test."""
+    def refuse(*args):
+        raise AssertionError(f"built something for {args}")
+    for name in ("hecke_matrix", "hecke_columns"):
+        monkeypatch.setattr(mbasis, name, refuse)
+    monkeypatch.setattr(cli, "theta_coords", refuse)
+
+
+def test_code_of_huge_exponent_is_direct(capsys, nothing_built):
+    code, out, _ = run_cli(capsys, "code-of", "1000001")
+    assert code == 0 and out == "784,452\n"
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (("m-table", "--degree", "64"), None),
+    (("tp-table", "--degree", "64"), None),
+    (("decompose", "-"), "99999999999"),
+    (("theta-table", "--c", "4", "--n-max", "8"), None),
+])
+def test_work_over_the_cap_fails_before_building(capsys, monkeypatch,
+                                                 nothing_built, argv, stdin):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "over the level cap" in err
 
 
 def test_code_of(capsys):

@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heckemod2 import mbasis
 from heckemod2.gf2 import LinearSolver
-from heckemod2.mbasis import LevelExhausted, MBasis
+from heckemod2.mbasis import (LevelExhausted, MBasis, code_exponent, code_of,
+                              degree_level)
 from heckemod2.series import F2Series, delta_pow, hecke
 from heckemod2.spaces import DeltaCoords, hecke_matrix
 
@@ -132,6 +136,60 @@ def test_code_rejects_even(mtable):
         mtable.code_of(10)
 
 
+def code_of_reference(table, k):
+    """The code of k from the m-expansion of delta^k: take the indices of
+    maximal total degree; a singleton stratum is the answer, and ties are
+    resolved by the dominant exponents of the solved table (delta^19
+    carries both (3,0) and (1,2) at degree 3, and only m(1,2) tops out at
+    19)."""
+    support = table.coefficients(table.delta_power_coords(k))
+    top = max(a + b for a, b in support)
+    stratum = sorted((a, b) for a, b in support if a + b == top)
+    if len(stratum) == 1:
+        return stratum[0]
+    matches = [ab for ab in stratum if table.dominant_exponent(*ab) == k]
+    assert len(matches) == 1, (k, stratum)
+    return matches[0]
+
+
+def test_closed_form_code_matches_m_expansion():
+    table = MBasis()
+    for k in range(1, 2048, 2):
+        assert code_of(k) == code_of_reference(table, k), k
+
+
+@given(st.integers(0, 1 << 200), st.integers(0, 1 << 200))
+@settings(max_examples=200, deadline=None)
+def test_code_exponent_inverts_code(a, b):
+    k = code_exponent(a, b)
+    assert k % 2 == 1 and code_of(k) == (a, b)
+
+
+def test_code_needs_no_level():
+    table = MBasis()
+    assert table.code_of(1000001) == (784, 452)
+    assert table.level == 0
+
+
+def test_degree_level_is_the_largest_dominant_exponent(mtable):
+    for degree in range(13):
+        top = max(mtable.dominant_exponent(a, d - a)
+                  for d in range(degree + 1) for a in range(d + 1))
+        assert degree_level(degree) == (top + 1) // 2, degree
+
+
+def test_degree_levels_of_deep_tables():
+    assert [degree_level(d) for d in (24, 32, 63, 64)] == [641, 2049, 2731, 8193]
+
+
+def test_table_is_built_once_at_the_closed_form_level():
+    table = MBasis()
+    table.ensure_degree(24)
+    assert table.level == 641
+    table.ensure_degree(20)
+    assert table.level == 641
+
+
 # -- T_p expansions ---------------------------------------------------------------------
 
 
@@ -222,10 +280,41 @@ def test_level_cap_gives_clean_failure():
         small.ensure(0, 2)  # m(0,2) = delta^17 needs level 9
 
 
+def _forbid_building(monkeypatch):
+    def refuse(p, n):
+        raise AssertionError(f"built T_{p} at level {n}")
+    monkeypatch.setattr(mbasis, "hecke_matrix", refuse)
+    monkeypatch.setattr(mbasis, "hecke_columns", refuse)
+
+
+def test_level_over_cap_fails_before_building(monkeypatch):
+    _forbid_building(monkeypatch)
+    table = MBasis()
+    for request in (lambda: table.ensure_degree(64),
+                    lambda: table.ensure_degree(10 ** 9),
+                    lambda: table.ensure(0, 64),
+                    lambda: table.delta_power_coords(99999999999)):
+        with pytest.raises(LevelExhausted):
+            request()
+    assert table.level == 0
+
+
+def test_growth_at_least_doubles_and_respects_the_cap():
+    table = MBasis(start_level=2, level_cap=40)
+    table.ensure_level(3)
+    assert table.level == 3
+    table.ensure_level(4)
+    assert table.level == 6
+    table.ensure_level(39)
+    assert table.level == 39
+    table.ensure_level(40)
+    assert table.level == 40
+
+
 def test_entries_survive_growth():
     table = MBasis(start_level=2)
     assert table.element(1, 0).support_exponents() == (3,)
-    table.ensure(0, 2)  # forces growth past level 9
-    assert table.level >= 16
+    table.ensure(0, 2)  # forces growth to level 9
+    assert table.level >= 9
     assert table.element(1, 0).support_exponents() == (3,)
     assert table.element(0, 2).support_exponents() == (17,)

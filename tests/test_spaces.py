@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from heckemod2.gf2 import GF2Matrix, rank
 from heckemod2.series import (F2Series, PrecisionError, _mask, delta,
                               delta_pow, hecke)
-from heckemod2.spaces import (AlgebraSpan, DeltaCoords, NotInSpan,
-                              _greedy_expand, algebra_dimension,
-                              check_divisibility, commutant_dimension,
-                              expand_in_delta_basis, hecke_matrix, kernel,
+from heckemod2.spaces import (MODULAR_EQUATIONS, AlgebraSpan, DeltaCoords,
+                              NotInSpan, _direct_columns, _greedy_expand,
+                              algebra_dimension, check_divisibility,
+                              commutant_dimension, expand_in_delta_basis,
+                              hecke_columns, hecke_matrix, kernel,
                               nilpotency_index)
 
 # -- delta-basis expansion ----------------------------------------------------
@@ -101,6 +102,35 @@ def test_hecke_matrix_examples():
     m53 = hecke_matrix(5, 3)
     assert m53.apply(0b100) == 0b001  # delta^5 -> delta
     assert m53.apply(0b011) == 0
+
+
+@given(st.sampled_from((3, 5)), st.integers(1, 512))
+@settings(max_examples=40, deadline=None)
+def test_recurrence_columns_match_hecke_bits(p, n):
+    """T_3 and T_5 from the modular-equation recurrence equal the columns
+    read off q-expansions through _hecke_bits."""
+    assert hecke_columns(p, n) == tuple(_direct_columns(p, n))
+
+
+def test_hecke_matrix_rows_are_its_columns():
+    for p in (3, 5, 7):
+        assert tuple(hecke_matrix(p, 40).columns()) == hecke_columns(p, 40)
+
+
+@pytest.mark.parametrize("p", sorted(MODULAR_EQUATIONS))
+def test_modular_equation_vanishes(p):
+    """Phi_p(delta(q), delta(q^p)) = 0 through q^3000."""
+    precision = 3000
+    x = delta(precision)
+    y = F2Series.from_exponents([p * e for e in x.support()], precision)
+    xs, ys = [F2Series(1, precision)], [F2Series(1, precision)]
+    for _ in range(p + 1):
+        xs.append(xs[-1] * x)
+        ys.append(ys[-1] * y)
+    total = F2Series(0, precision)
+    for i, j in MODULAR_EQUATIONS[p]:
+        total = total + xs[i] * ys[j]
+    assert total.is_zero
 
 
 def test_hecke_matrix_rejects_bad_prime():
