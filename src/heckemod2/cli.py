@@ -46,11 +46,7 @@ def cmd_m_table(args) -> int:
     if args.degree < 0:
         return _usage_error("--degree must be >= 0")
     table = MBasis()
-    try:
-        table.ensure_degree(args.degree)
-    except LevelExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE
+    table.ensure_degree(args.degree)
     for d in range(args.degree + 1):
         for a in range(d, -1, -1):
             b = d - a
@@ -68,11 +64,7 @@ def cmd_tp_table(args) -> int:
     if args.degree < 0:
         return _usage_error("--degree must be >= 0")
     table = MBasis()
-    try:
-        table.ensure_degree(args.degree)
-    except LevelExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE
+    table.ensure_degree(args.degree)
     for p in odd_primes(args.p_max):
         monomials = _graded(table.tp_expansion(p, args.degree))
         if args.format == "csv":
@@ -92,16 +84,10 @@ def cmd_theta_table(args) -> int:
     exponent = code_exponent(top, 0) if args.c == 2 else code_exponent(0, top)
     level = max(16, (args.precision + 1) // 2, (exponent + 1) // 2)
     if level > LEVEL_CAP:
-        print(f"error: level {level} needed, over the level cap {LEVEL_CAP}",
-              file=sys.stderr)
-        return FAILURE
+        raise LevelExhausted(f"level {level} needed, over the level cap {LEVEL_CAP}")
     for n in range(1, args.n_max + 1):
         for t in range(2 ** (n - 1) + 1):
-            try:
-                coords = theta_coords(t, n, args.c, level)
-            except NotInSpan as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return FAILURE
+            coords = theta_coords(t, n, args.c, level)
             exps = " ".join(str(e) for e in coords.support_exponents())
             if args.format == "csv":
                 print(f"{args.c},{n},{t},{exps}")
@@ -131,20 +117,16 @@ def cmd_decompose(args) -> int:
     if not exponents or any(e < 1 or e % 2 == 0 for e in exponents):
         return _usage_error("exponents must be odd positive integers")
     table = MBasis()
-    try:
-        table.ensure_level(max((max(exponents) + 1) // 2, 1))
-        coords = 0
-        for e in exponents:
-            coords ^= 1 << ((e - 1) // 2)
-        element = DeltaCoords(coords, table.level)
-        # honest round trip through the q-expansion
-        expanded = expand_in_delta_basis(
-            element.to_series(2 * table.level - 1), table.level
-        )
-        m_support = _graded(table.coefficients(expanded))
-    except (LevelExhausted, NotInSpan) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE
+    table.ensure_level(max((max(exponents) + 1) // 2, 1))
+    coords = 0
+    for e in exponents:
+        coords ^= 1 << ((e - 1) // 2)
+    element = DeltaCoords(coords, table.level)
+    # honest round trip through the q-expansion
+    expanded = expand_in_delta_basis(
+        element.to_series(2 * table.level - 1), table.level
+    )
+    m_support = _graded(table.coefficients(expanded))
     delta_exps = " ".join(str(e) for e in expanded.support_exponents())
     if args.format == "csv":
         print(f"delta,{delta_exps}")
@@ -227,7 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (LevelExhausted, NotInSpan) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return FAILURE
 
 
 if __name__ == "__main__":

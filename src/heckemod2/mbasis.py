@@ -6,9 +6,10 @@ boundary) and q^1 coefficient 1 exactly at (a,b) = (0,0).  Its largest
 delta exponent has a closed form: the code of an odd k, read off the
 binary digits of (k-1)/2, is the (a,b) whose m(a,b) peaks at delta^k.  So
 the level that holds an entry is known before any matrix is built, and
-each entry is found by one solve of the stacked GF(2) system
-[T_3; T_5; e] f = rhs at that level; the stacked system has trivial
-kernel at every level, so the solution is the element.
+each entry is read off its two parents by back-substitution on the
+columns of T_3 and T_5, guided by the code.  The stacked system
+[T_3; T_5; e] has trivial kernel at every level built (its columns are
+checked independent there), so the element found is the only one.
 
 The same table drives the expansion of every T_p as a series in x = T_3
 and y = T_5: the coefficient of x^i y^j in T_p is the q^p coefficient of
@@ -20,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .gf2 import LinearSolver, apply_columns, even_bits, spread_bits
+from .gf2 import apply_columns, even_bits, rank, spread_bits
 from .primes import is_odd_prime
 from .series import F2Series, _odd_delta_power_bits
-from .spaces import DeltaCoords, _greedy_expand, hecke_columns, hecke_matrix
+from .spaces import DeltaCoords, _greedy_expand, hecke_columns
 
 MIndex = tuple[int, int]
 
@@ -65,6 +66,22 @@ def degree_level(degree: int) -> int:
     return max(code_level(a, degree - a) for a in range(degree + 1))
 
 
+# Morton masks on the index (k-1)/2 of delta^k: the digits of a sit at the
+# even positions, those of b at the odd ones; good for any index below 2^63
+_EVEN = int("01" * 32, 2)
+_ODD = _EVEN << 1
+
+
+def _up3(j: int) -> int:
+    """The index whose code is one more in a than the code of index j."""
+    return ((j | _ODD) + 1) & _EVEN | (j & _ODD)
+
+
+def _up5(j: int) -> int:
+    """The index whose code is one more in b than the code of index j."""
+    return ((j | _EVEN) + 2) & _ODD | (j & _EVEN)
+
+
 @dataclass(frozen=True)
 class FrobenianReport:
     """Whether each explicit coefficient criterion holds for one prime:
@@ -99,8 +116,9 @@ class MBasis:
 
     Nothing is built at construction.  A request that needs a higher level
     moves the table there once, at least doubling the level (and never
-    below `start_level`), and rebuilds there the T_3/T_5 columns and
-    matrices and a prefactored solver for the stacked system.  A level
+    below `start_level`), rebuilds there the T_3/T_5 columns and checks
+    that the stacked system has trivial kernel; entries are then solved
+    from their parents by back-substitution on those columns.  A level
     over `level_cap` raises LevelExhausted before anything is built.
     Delta powers, for T_p expansions, are taken at a working precision of
     at least max(2*level - 1, min_precision).  Construction is sequential;
@@ -135,14 +153,15 @@ class MBasis:
         self._t3 = hecke_columns(3, n)
         self._t5 = hecke_columns(5, n)
         self._pows = None
-        rows = hecke_matrix(3, n).rows + hecke_matrix(5, n).rows + (1,)
-        solver = LinearSolver(rows, n)
-        if solver.kernel_dimension != 0:
+        # the columns of [T_3; T_5; e], with e reading the delta coordinate:
+        # independent exactly when the stacked kernel is trivial
+        stacked = [c3 | c5 << n for c3, c5 in zip(self._t3, self._t5)]
+        stacked[0] |= 1 << (2 * n)
+        if rank(stacked) != n:
             raise RuntimeError(
                 f"uniqueness violated at level {n}: the stacked system "
                 "[T_3; T_5; e] has a nontrivial kernel"
             )
-        self._solver = solver
 
     def _grow(self, level: int):
         if level > self._cap:
@@ -171,18 +190,51 @@ class MBasis:
     # -- table construction ------------------------------------------------
 
     def _solve(self, a: int, b: int) -> int:
+        """m(a,b) from its parents, by back-substitution guided by the code.
+
+        Start from f = 0 and the residuals r3 = m(a-1,b), r5 = m(a,b-1),
+        which stay T_3 g and T_5 g for g = m(a,b) - f.  Write g in the
+        m-basis with support S.  The top of a nonzero r3 is delta^K(c-1,d)
+        for some (c,d) in S, so it proposes K(c,d), one step up in a; r5
+        proposes one step up in b.  The larger proposal flips its bit of f,
+        and its T_3, T_5 columns go into the residuals.  So each proposal is
+        K(c,d) for some (c,d) in S, and since delta^K(c,d) is m(c,d) plus
+        terms of smaller code exponent, flipping it removes (c,d) from S
+        and adds only indices with smaller K.  So the multiset of K values
+        on S goes down at every step, the loop ends, and every proposal is
+        at most K(a,b), which the level holds.  At the end g is killed by
+        T_3 and T_5, so it is 0 or delta, and the q^1 coefficient (bit 0,
+        never proposed) settles it.  A proposal at or above the level can
+        only come from wrong columns, and raises.  No bit of f flips twice
+        for any entry under the default cap (checked for all 8192 entries
+        at level 8192, whose first n columns are those of level n), so a
+        second flip also means wrong columns and raises: the loop takes at
+        most `level` steps whatever the columns.
+        """
         n = self._level
-        rhs = self._entries[(a - 1, b)] if a > 0 else 0
-        if b > 0:
-            rhs |= self._entries[(a, b - 1)] << n
+        t3, t5 = self._t3, self._t5
+        r3 = self._entries[(a - 1, b)] if a > 0 else 0
+        r5 = self._entries[(a, b - 1)] if b > 0 else 0
+        f = 0
+        while r3 or r5:
+            i = max(_up3(r3.bit_length() - 1) if r3 else 0,
+                    _up5(r5.bit_length() - 1) if r5 else 0)
+            if i >= n:
+                raise RuntimeError(
+                    f"m({a},{b}): back-substitution proposed delta^{2 * i + 1}"
+                    f", beyond level {n}, which holds its code"
+                )
+            if f >> i & 1:
+                raise RuntimeError(
+                    f"m({a},{b}): back-substitution flipped delta^{2 * i + 1}"
+                    " twice"
+                )
+            f ^= 1 << i
+            r3 ^= t3[i]
+            r5 ^= t5[i]
         if (a, b) == (0, 0):
-            rhs |= 1 << (2 * n)
-        sol = self._solver.solve(rhs)
-        if sol is None:
-            raise RuntimeError(
-                f"m({a},{b}) has no solution at level {n}, which holds its code"
-            )
-        return sol
+            f |= 1
+        return f
 
     def ensure(self, a: int, b: int):
         """Solve for m(a,b), recursively solving its parents first."""

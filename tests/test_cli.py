@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from heckemod2 import cli, mbasis
+from heckemod2 import cli, mbasis, spaces
 from heckemod2.cli import main
 
 
@@ -76,8 +76,8 @@ def nothing_built(monkeypatch):
     """Make any Hecke matrix or theta series build fail the test."""
     def refuse(*args):
         raise AssertionError(f"built something for {args}")
-    for name in ("hecke_matrix", "hecke_columns"):
-        monkeypatch.setattr(mbasis, name, refuse)
+    monkeypatch.setattr(spaces, "hecke_matrix", refuse)
+    monkeypatch.setattr(mbasis, "hecke_columns", refuse)
     monkeypatch.setattr(cli, "theta_coords", refuse)
 
 

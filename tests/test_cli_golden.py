@@ -2,7 +2,9 @@
 
 The digests were recorded from the tree before the linear-time Hecke
 kernel and the shared delta-power table went in (the `m-table --degree 32`
-one before the m-basis moved to its closed-form level), so any change to
+one before the m-basis moved to its closed-form level, the `--degree 63`
+one, the deepest table under the level cap, before its entries were
+back-substituted instead of solved as a stacked system), so any change to
 the bytes the CLI prints shows up here.  `verify` used to print each check's
 wall time on stdout; its digest was taken with those `  (N.Ns)` suffixes
 removed, which is exactly what it prints now.
@@ -33,6 +35,8 @@ GOLDEN = [
      "e779976ed676f3e2db4e18a332afb7ba8b9e2f4034ec9f3d6318a23e879f14a1"),
     (["m-table", "--degree", "32", "--format", "csv"], None,
      "d3f8137f56fb3f8a4f6841b4a8338ecd731c604caa1216b3966eba6588924569"),
+    (["m-table", "--degree", "63", "--format", "csv"], None,
+     "c903eb19b8977efb7b74309851a6af79423a90fd206f8a24d8c1e63fe248f84b"),
     (["theta-table", "--c", "4", "--n-max", "5", "--precision", "341",
       "--format", "csv"], None,
      "a47adc5a7c706baaa721fafa4f26c7887b5a4e63f31d310ce513a36dca1f3fae"),

@@ -3,11 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckemod2 import mbasis
-from heckemod2.gf2 import LinearSolver
+from heckemod2 import mbasis, spaces
+from heckemod2.gf2 import LinearSolver, rank
 from heckemod2.mbasis import (LevelExhausted, MBasis, code_exponent, code_of,
                               degree_level)
 from heckemod2.series import F2Series, delta_pow, hecke
@@ -61,6 +61,75 @@ def test_uniqueness_stacked_kernel_trivial():
         t3, t5 = hecke_matrix(3, n), hecke_matrix(5, n)
         solver = LinearSolver(list(t3.rows) + list(t5.rows) + [1], n)
         assert solver.kernel_dimension == 0
+        # the certificate the table checks: the stacked columns have rank n
+        stacked = [c3 | c5 << n for c3, c5 in zip(t3.columns(), t5.columns())]
+        stacked[0] |= 1 << (2 * n)
+        assert rank(stacked) == n
+
+
+# -- back-substitution --------------------------------------------------------------
+
+
+@given(st.integers(1, 700))
+@example(700)
+@settings(max_examples=15, deadline=None)
+def test_back_substitution_matches_stacked_solver(n):
+    """Every entry the level holds equals the stacked LinearSolver's
+    solution, with the solver fed its own earlier solutions."""
+    rows = hecke_matrix(3, n).rows + hecke_matrix(5, n).rows + (1,)
+    solver = LinearSolver(rows, n)
+    table = MBasis(start_level=n, level_cap=n)
+    oracle = {}
+    for i in range(n):  # parents have smaller codes, so come first
+        a, b = code_of(2 * i + 1)
+        rhs = oracle.get((a - 1, b), 0) | oracle.get((a, b - 1), 0) << n
+        if (a, b) == (0, 0):
+            rhs |= 1 << (2 * n)
+        oracle[(a, b)] = solver.solve(rhs)
+        assert table.element(a, b).coords == oracle[(a, b)], (n, a, b)
+    assert table.level == n
+
+
+def _corrupt_columns(monkeypatch, corrupt):
+    """Hand the table T_3, T_5 columns passed through corrupt(p, n, cols)."""
+    real = mbasis.hecke_columns
+
+    def columns(p, n):
+        return tuple(corrupt(p, n, list(real(p, n))))
+    monkeypatch.setattr(mbasis, "hecke_columns", columns)
+
+
+def test_zero_column_pair_violates_uniqueness(monkeypatch):
+    def zero_column_5(p, n, cols):
+        cols[5] = 0
+        return cols
+    _corrupt_columns(monkeypatch, zero_column_5)
+    with pytest.raises(RuntimeError, match="uniqueness violated"):
+        MBasis().ensure_level(16)
+
+
+def test_proposal_beyond_the_level_raises(monkeypatch):
+    """T_3 delta^3 = delta; a column that also reaches the top index sends
+    the next proposal past the level, which must raise, not index or hang."""
+    def reach_the_top(p, n, cols):
+        if p == 3:
+            cols[1] |= 1 << (n - 1)
+        return cols
+    _corrupt_columns(monkeypatch, reach_the_top)
+    table = MBasis()
+    table.ensure_level(64)  # the columns still pass the rank certificate
+    with pytest.raises(RuntimeError, match="beyond level 64"):
+        table.ensure(1, 0)
+
+
+def test_cycling_back_substitution_raises():
+    """With T_3 delta^3 = 0 the residual m(0,0) keeps proposing delta^3;
+    the second flip must raise instead of looping for ever."""
+    table = MBasis()
+    table.ensure_level(16)
+    table._t3 = (0, 0) + table._t3[2:]
+    with pytest.raises(RuntimeError, match="flipped delta\\^3 twice"):
+        table.ensure(1, 0)
 
 
 # -- dual expansion ----------------------------------------------------------------
@@ -283,7 +352,7 @@ def test_level_cap_gives_clean_failure():
 def _forbid_building(monkeypatch):
     def refuse(p, n):
         raise AssertionError(f"built T_{p} at level {n}")
-    monkeypatch.setattr(mbasis, "hecke_matrix", refuse)
+    monkeypatch.setattr(spaces, "hecke_matrix", refuse)
     monkeypatch.setattr(mbasis, "hecke_columns", refuse)
 
 
