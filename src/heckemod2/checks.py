@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .gf2 import GF2Matrix, LinearSolver, rank
+from .gf2 import GF2Matrix, LinearSolver, lowest_bit, rank
 from .mbasis import MBasis
 from .primes import odd_prime_factors, odd_primes
 from .series import F2Series, delta_pow, hecke
@@ -171,7 +171,7 @@ def check_structure_suite(table: MBasis | None = None) -> CheckResult:
     # on q^1 coefficient 1 -- for every nonzero element of the level-8 space
     mats = {p: hecke_matrix(p, 8) for p in (3, 5, 7, 11, 13)}
     for coords in range(1, 1 << 8):
-        m = 2 * ((coords & -coords).bit_length() - 1) + 1
+        m = 2 * lowest_bit(coords) + 1
         v = coords
         for p in odd_prime_factors(m):
             v = mats[p].apply(v)
@@ -191,7 +191,7 @@ def check_structure_suite(table: MBasis | None = None) -> CheckResult:
             op_rows = mats16[p].mul(op_rows)
         functionals[low] = op_rows.rows[0]
     for coords in range(1, 1 << 16):
-        row = functionals[(coords & -coords).bit_length() - 1]
+        row = functionals[lowest_bit(coords)]
         if (row & coords).bit_count() & 1 != 1:
             bad.append(f"pairing witness fails for coords {coords:#x} (level 16)")
             break

@@ -78,6 +78,8 @@ def cmd_tp_table(args) -> int:
 def cmd_theta_table(args) -> int:
     if args.n_max < 1:
         return _usage_error("--n-max must be >= 1")
+    if args.precision < 0:
+        return _usage_error("--precision must be >= 0")
     # every series lies in the span of m(a,0) (c = 2), resp. m(0,b) (c = 4),
     # with index below 2^(n-1), so its delta exponents are at most this
     top = (1 << (args.n_max - 1)) - 1
@@ -107,8 +109,12 @@ def cmd_code_of(args) -> int:
 
 def cmd_decompose(args) -> int:
     try:
-        text = sys.stdin.read() if args.file == "-" else open(args.file).read()
-    except OSError as exc:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file) as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(str(exc))
     try:
         exponents = [int(tok) for tok in text.replace(",", " ").split()]

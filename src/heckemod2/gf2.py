@@ -1,8 +1,10 @@
 """Dense GF(2) linear algebra on int bitsets.
 
 Vectors are Python ints (bit i = coordinate i); a matrix is a tuple of row
-ints.  Pivoting is always on the lowest set bit, so every computation is
-deterministic.
+ints.  `Span` is the one elimination engine: an echelon basis pivoting on
+the lowest set bit, so every computation is deterministic.  `rank`,
+`LinearSolver` and `nullspace` read their answers off a `Span`, and every
+loop over the set bits of an int goes through `iter_bits`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import compress
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # maps the digits of a binary string to the bytes 0 and 1
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -23,6 +25,14 @@ def parity(x: int) -> int:
 def lowest_bit(x: int) -> int:
     """Index of the lowest set bit; x must be nonzero."""
     return (x & -x).bit_length() - 1
+
+
+def iter_bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of x >= 0, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def even_bits(x: int) -> int:
@@ -79,10 +89,24 @@ class Span:
     def dimension(self) -> int:
         return len(self._pivots)
 
+    def echelon(self) -> list[tuple[int, int]]:
+        """The (pivot, vector) pairs, highest pivot first: the order in
+        which back-substitution reads them."""
+        return sorted(self._pivots.items(), reverse=True)
+
 
 def rank(vectors: Iterable[int]) -> int:
     """GF(2) rank of a collection of bitset vectors."""
     return Span(vectors).dimension
+
+
+def _transpose(vectors: Sequence[int], n: int) -> list[int]:
+    """Bit i of vectors[j] becomes bit j of the i-th of n outputs."""
+    out = [0] * n
+    for j, v in enumerate(vectors):
+        for i in iter_bits(v):
+            out[i] |= 1 << j
+    return out
 
 
 class GF2Matrix:
@@ -107,25 +131,13 @@ class GF2Matrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[int], n: int) -> "GF2Matrix":
-        rows = [0] * n
-        for j, c in enumerate(cols):
-            while c:
-                lsb = c & -c
-                rows[lsb.bit_length() - 1] |= 1 << j
-                c ^= lsb
-        return cls(rows, n)
+        return cls(_transpose(cols, n), n)
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
     def columns(self) -> list[int]:
-        cols = [0] * self.n
-        for i, r in enumerate(self.rows):
-            while r:
-                lsb = r & -r
-                cols[lsb.bit_length() - 1] |= 1 << i
-                r ^= lsb
-        return cols
+        return _transpose(self.rows, self.n)
 
     def apply(self, v: int) -> int:
         """Matrix-vector product over GF(2); v is a coordinate bitset."""
@@ -138,14 +150,15 @@ class GF2Matrix:
     def mul(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
+        orows = other.rows
         rows = []
         for r in self.rows:
             acc = 0
-            x = r
-            while x:
-                lsb = x & -x
-                acc ^= other.rows[lsb.bit_length() - 1]
-                x ^= lsb
+            # most rows of products of nilpotent Hecke matrices are zero:
+            # skip them without starting a generator
+            if r:
+                for i in iter_bits(r):
+                    acc ^= orows[i]
             rows.append(acc)
         return GF2Matrix(rows, self.n)
 
@@ -180,10 +193,10 @@ class GF2Matrix:
 class LinearSolver:
     """Repeated-solve helper for a fixed GF(2) system M x = b.
 
-    The rows of M are reduced once to RREF with combination tracking, so
-    each solve() is a handful of parities.  Rows and their combination
-    words are packed into single ints: low `width` bits are the row, the
-    high bits record which input equations were XORed into it.
+    Row idx goes into a `Span` as (row | 1 << (width + idx)), so each pivot
+    vector carries, above bit `width`, the equations XORed into it.  A
+    pivot below `width` fixes one unknown; one at or above it is a relation
+    between rows that b must satisfy.
 
     Args:
         rows: the equations, one bitset of length `width` per row.
@@ -192,69 +205,45 @@ class LinearSolver:
 
     def __init__(self, rows: Sequence[int], width: int):
         self._width = width
-        self._nrows = len(rows)
         low_mask = (1 << width) - 1
-        pivots: dict[int, int] = {}
-        pivot_mask = 0
-        zero_combos: list[int] = []
-        for idx, row in enumerate(rows):
-            aug = (row & low_mask) | (1 << (width + idx))
-            # Clear every pivot column present; each XOR removes one pivot
-            # column and introduces only non-pivot columns, so this ends.
-            while hot := aug & pivot_mask:
-                aug ^= pivots[lowest_bit(hot)]
-            low = aug & low_mask
-            if low == 0:
-                zero_combos.append(aug >> width)
-                continue
-            col = lowest_bit(low)
-            for c2, piv in pivots.items():
-                if (piv >> col) & 1:
-                    pivots[c2] = piv ^ aug
-            pivots[col] = aug
-            pivot_mask |= 1 << col
-        self._pivots = pivots
-        self._zero_combos = zero_combos
+        span = Span((row & low_mask) | 1 << (width + idx)
+                    for idx, row in enumerate(rows))
+        self._pivots = span.echelon()
+        self._rank = sum(1 for col, _ in self._pivots if col < width)
 
     @property
     def kernel_dimension(self) -> int:
-        return self._width - len(self._pivots)
+        return self._width - self._rank
 
     def solve(self, rhs: int) -> int | None:
-        """One solution of M x = rhs (free coordinates 0), or None."""
-        for combo in self._zero_combos:
-            if (combo & rhs).bit_count() & 1:
-                return None
-        x = 0
-        for col, aug in self._pivots.items():
-            if ((aug >> self._width) & rhs).bit_count() & 1:
-                x |= 1 << col
-        return x
+        """One solution of M x = rhs (free coordinates 0), or None.
+
+        Back-substitution from the highest pivot down: a pivot's bit of x
+        is the parity of its equations' bits of rhs plus that of the
+        unknowns already fixed, so one parity of y = rhs << width | x.
+        """
+        width = self._width
+        y = rhs << width
+        for col, aug in self._pivots:
+            if parity(aug & y):
+                if col >= width:
+                    return None
+                y |= 1 << col
+        return y & ((1 << width) - 1)
 
 
 def nullspace(rows: Sequence[int], width: int) -> list[int]:
-    """Basis of {v : every row r has parity(r & v) = 0}."""
-    pivots: dict[int, int] = {}
-    pivot_mask = 0
-    for row in rows:
-        r = row
-        while hot := r & pivot_mask:
-            r ^= pivots[lowest_bit(hot)]
-        if r == 0:
-            continue
-        col = lowest_bit(r)
-        for c2, piv in pivots.items():
-            if (piv >> col) & 1:
-                pivots[c2] = piv ^ r
-        pivots[col] = r
-        pivot_mask |= 1 << col
+    """Basis of {v : every row r has parity(r & v) = 0}: one vector per
+    free coordinate f, back-substituted from 1 << f."""
+    span = Span(rows)
+    pivots = span.echelon()
     basis = []
     for f in range(width):
-        if f in pivots:
+        if f in span._pivots:
             continue
         v = 1 << f
-        for col, r in pivots.items():
-            if (r >> f) & 1:
+        for col, r in pivots:
+            if col < f and parity(r & v):
                 v |= 1 << col
         basis.append(v)
     return basis

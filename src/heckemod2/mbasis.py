@@ -29,6 +29,8 @@ from .spaces import DeltaCoords, _greedy_expand, hecke_columns
 MIndex = tuple[int, int]
 
 LEVEL_CAP = 8192
+# least working precision for the delta powers behind T_p expansions
+MIN_PRECISION = 1024
 
 # (i mod 2, j mod 2) forced on every monomial of T_p, by p mod 8
 PARITY_PATTERN = {1: (0, 0), 3: (1, 0), 5: (0, 1), 7: (1, 1)}
@@ -121,19 +123,18 @@ class MBasis:
     from their parents by back-substitution on those columns.  A level
     over `level_cap` raises LevelExhausted before anything is built.
     Delta powers, for T_p expansions, are taken at a working precision of
-    at least max(2*level - 1, min_precision).  Construction is sequential;
+    at least max(2*level - 1, MIN_PRECISION).  Construction is sequential;
     a completed table is read-only for consumers.
     """
 
-    def __init__(self, start_level: int = 16, level_cap: int = LEVEL_CAP,
-                 min_precision: int = 1024):
+    def __init__(self, start_level: int = 16, level_cap: int = LEVEL_CAP):
         if start_level < 1:
             raise ValueError("start_level must be >= 1")
         self._start = start_level
         self._level = 0
         self._degree = -1
         self._cap = level_cap
-        self._min_precision = min_precision
+        self._min_precision = MIN_PRECISION
         self._pows = None
         self._entries: dict[MIndex, int] = {}
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 
+from .gf2 import iter_bits, lowest_bit, spread_bits
 from .primes import is_odd_prime
 
 
@@ -66,13 +67,7 @@ class F2Series:
 
     def support(self) -> tuple[int, ...]:
         """Exponents with coefficient 1, ascending."""
-        out = []
-        x = self._bits
-        while x:
-            lsb = x & -x
-            out.append(lsb.bit_length() - 1)
-            x ^= lsb
-        return tuple(out)
+        return tuple(iter_bits(self._bits))
 
     def truncate(self, precision: int) -> "F2Series":
         if precision > self._prec:
@@ -83,7 +78,7 @@ class F2Series:
         """Smallest exponent with coefficient 1, or None if zero."""
         if self._bits == 0:
             return None
-        return (self._bits & -self._bits).bit_length() - 1
+        return lowest_bit(self._bits)
 
     @property
     def is_zero(self) -> bool:
@@ -133,10 +128,8 @@ def mul(f: F2Series, g: F2Series) -> F2Series:
     if a.bit_count() > b.bit_count():
         a, b = b, a
     acc = 0
-    while a:
-        lsb = a & -a
-        acc ^= b << (lsb.bit_length() - 1)
-        a ^= lsb
+    for i in iter_bits(a):
+        acc ^= b << i
     return F2Series(acc, n)
 
 
@@ -146,13 +139,7 @@ def square(f: F2Series) -> F2Series:
     Agrees with mul(f, f) because cross terms in the convolution occur in
     pairs and cancel over GF(2).
     """
-    out = 0
-    x = f.bits & _mask(f.precision // 2)
-    while x:
-        lsb = x & -x
-        out |= 1 << (2 * (lsb.bit_length() - 1))
-        x ^= lsb
-    return F2Series(out, f.precision)
+    return F2Series(spread_bits(f.bits & _mask(f.precision // 2)), f.precision)
 
 
 def delta_pow(k: int, precision: int) -> F2Series:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .gf2 import GF2Matrix, Span, even_bits, lowest_bit, nullspace, rank
+from .gf2 import (GF2Matrix, Span, apply_columns, even_bits, iter_bits,
+                  lowest_bit, nullspace, rank)
 from .primes import is_odd_prime
 from .series import F2Series, PrecisionError, _hecke_bits, _mask, _odd_delta_power_bits
 
@@ -42,13 +43,7 @@ class DeltaCoords:
 
     def support_exponents(self) -> tuple[int, ...]:
         """Exponents k with delta^k present, ascending."""
-        out = []
-        c = self.coords
-        while c:
-            lsb = c & -c
-            out.append(2 * (lsb.bit_length() - 1) + 1)
-            c ^= lsb
-        return tuple(out)
+        return tuple(2 * i + 1 for i in iter_bits(self.coords))
 
     def leading_exponent(self) -> int | None:
         if self.coords == 0:
@@ -63,13 +58,7 @@ class DeltaCoords:
 
     def to_series(self, precision: int) -> F2Series:
         pows = _odd_delta_power_bits(max(self.coords.bit_length(), 1), precision)
-        bits = 0
-        c = self.coords
-        while c:
-            lsb = c & -c
-            bits ^= pows[lsb.bit_length() - 1]
-            c ^= lsb
-        return F2Series(bits, precision)
+        return F2Series(apply_columns(pows, self.coords), precision)
 
 
 def _greedy_expand(bits: int, pows: list[int], n: int, precision: int) -> int:
@@ -251,16 +240,9 @@ def commutant_dimension(n: int) -> int:
         a = hecke_matrix(p, n)
         acols = a.columns()
         for i in range(n):
-            arow = a.rows[i]
-            for j in range(n):
-                row = 0
-                x = arow
-                while x:
-                    lsb = x & -x
-                    row ^= 1 << ((lsb.bit_length() - 1) * n + j)
-                    x ^= lsb
-                row ^= acols[j] << (i * n)
-                rows.append(row)
+            # unknown (k, j) is bit k*n + j: row i of A placed at stride n
+            spread = sum(1 << (k * n) for k in iter_bits(a.rows[i]))
+            rows.extend((acols[j] << (i * n)) ^ (spread << j) for j in range(n))
     return n * n - rank(rows)
 
 

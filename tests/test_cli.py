@@ -139,6 +139,14 @@ def test_decompose_rejects_even_exponent(capsys, tmp_path):
     assert code == 2 and "odd" in err
 
 
+def test_decompose_rejects_undecodable_file(capsys, tmp_path):
+    src = tmp_path / "bad.bin"
+    src.write_bytes(b"\xff\xfe3,5")
+    code, out, err = run_cli(capsys, "decompose", str(src))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
@@ -150,6 +158,7 @@ def test_usage_error_exit_code():
     ("m-table", "--degree", "-3"),
     ("tp-table", "--degree", "-1"),
     ("theta-table", "--n-max", "0"),
+    ("theta-table", "--precision", "-1"),
 ])
 def test_negative_arguments_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,8 +1,16 @@
 """Bitset linear algebra cross-checked against textbook elimination."""
 
+import ast
 import random
+from pathlib import Path
 
-from heckemod2.gf2 import GF2Matrix, LinearSolver, Span, nullspace, rank
+from hypothesis import given
+from hypothesis import strategies as st
+
+from heckemod2.gf2 import (GF2Matrix, LinearSolver, Span, iter_bits, nullspace,
+                           rank)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "heckemod2"
 
 
 def naive_solve(rows, width, rhs_bits):
@@ -39,7 +47,8 @@ def test_solver_against_naive_elimination():
         solver = LinearSolver(rows, width)
         got = solver.solve(rhs)
         want = naive_solve(rows, width, rhs)
-        assert (got is None) == (want is None)
+        # the same solution, free coordinates 0, not just an equivalent one
+        assert got == want
         if got is not None:
             for i, r in enumerate(rows):
                 assert ((r & got).bit_count() & 1) == ((rhs >> i) & 1)
@@ -51,6 +60,7 @@ def test_nullspace_and_kernel_dimension():
         width = rng.randint(1, 10)
         rows = [rng.getrandbits(width) for _ in range(rng.randint(1, 16))]
         basis = nullspace(rows, width)
+        assert rank(basis) == len(basis)
         for v in basis:
             assert all(((r & v).bit_count() & 1) == 0 for r in rows)
         count = sum(
@@ -109,3 +119,30 @@ def test_matrix_mul_against_entrywise():
                 for k in range(n):
                     want ^= a.entry(i, k) & b.entry(k, j)
                 assert c.entry(i, j) == want
+
+
+@given(st.one_of(
+    st.just(0),
+    st.integers(0, 6000).map(lambda i: 1 << i),
+    st.lists(st.integers(0, 8000), max_size=24).map(
+        lambda es: sum(1 << e for e in set(es)) | 1 << 5000),
+    st.integers(0, 1 << 300),
+))
+def test_iter_bits_against_bit_scan(x):
+    assert list(iter_bits(x)) == [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+def test_lowest_bit_idiom_only_in_gf2_helpers():
+    """`x & -x` is written in gf2.lowest_bit and gf2.iter_bits only; every
+    other loop over set bits goes through them."""
+    tree = ast.parse((SRC / "gf2.py").read_text())
+    allowed = {("gf2.py", line)
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("lowest_bit", "iter_bits")
+               for line in range(node.lineno, node.end_lineno + 1)}
+    stray = [f"{path.name}:{i}: {text.strip()}"
+             for path in sorted(SRC.glob("*.py"))
+             for i, text in enumerate(path.read_text().splitlines(), 1)
+             if "& -" in text and (path.name, i) not in allowed]
+    assert stray == []

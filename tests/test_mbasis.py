@@ -1,6 +1,7 @@
 """The m(a,b) table, dual expansions, codes, and T_p expansions."""
 
 import random
+import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -124,12 +125,23 @@ def test_proposal_beyond_the_level_raises(monkeypatch):
 
 def test_cycling_back_substitution_raises():
     """With T_3 delta^3 = 0 the residual m(0,0) keeps proposing delta^3;
-    the second flip must raise instead of looping for ever."""
+    the second flip must raise instead of looping for ever.  A 5 s alarm
+    makes a missing guard fail this test rather than hang the suite."""
     table = MBasis()
     table.ensure_level(16)
     table._t3 = (0, 0) + table._t3[2:]
-    with pytest.raises(RuntimeError, match="flipped delta\\^3 twice"):
-        table.ensure(1, 0)
+
+    def still_looping(signum, frame):
+        raise TimeoutError("back-substitution still looping after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, still_looping)
+    timer = signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(RuntimeError, match="flipped delta\\^3 twice"):
+            table.ensure(1, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, *timer)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- dual expansion ----------------------------------------------------------------
