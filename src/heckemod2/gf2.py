@@ -1,10 +1,10 @@
 """Dense GF(2) linear algebra on int bitsets.
 
-Vectors are Python ints (bit i = coordinate i); a matrix is a tuple of row
-ints.  `Span` is the one elimination engine: an echelon basis pivoting on
-the lowest set bit, so every computation is deterministic.  `rank`,
-`LinearSolver` and `nullspace` read their answers off a `Span`, and every
-loop over the set bits of an int goes through `iter_bits`.
+Vectors are Python ints (bit i = coordinate i); a matrix is a tuple of
+column ints.  `Span` is the one elimination engine: an echelon basis
+pivoting on the lowest set bit, so every computation is deterministic.
+`rank` and `LinearSolver` read their answers off a `Span`, and every loop
+over the set bits of an int goes through `iter_bits`.
 """
 
 from __future__ import annotations
@@ -100,25 +100,19 @@ def rank(vectors: Iterable[int]) -> int:
     return Span(vectors).dimension
 
 
-def _transpose(vectors: Sequence[int], n: int) -> list[int]:
-    """Bit i of vectors[j] becomes bit j of the i-th of n outputs."""
-    out = [0] * n
-    for j, v in enumerate(vectors):
-        for i in iter_bits(v):
-            out[i] |= 1 << j
-    return out
-
-
 class GF2Matrix:
-    """Square bit matrix; rows[i] holds row i with bit j = entry (i, j)."""
+    """Square bit matrix; cols[j], the image of basis vector j, holds
+    column j with bit i = entry (i, j).  Columns must lie in [0, 2^n)."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("cols", "n")
 
-    def __init__(self, rows: Sequence[int], n: int):
-        if len(rows) != n:
-            raise ValueError("row count must equal n")
-        mask = (1 << n) - 1
-        self.rows = tuple(r & mask for r in rows)
+    def __init__(self, cols: Sequence[int], n: int):
+        cols = tuple(cols)
+        if len(cols) != n:
+            raise ValueError("column count must equal n")
+        if cols and (min(cols) < 0 or max(cols) >> n):
+            raise ValueError(f"a column lies outside [0, 2^{n})")
+        self.cols = cols
         self.n = n
 
     @classmethod
@@ -129,65 +123,56 @@ class GF2Matrix:
     def zero(cls, n: int) -> "GF2Matrix":
         return cls([0] * n, n)
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[int], n: int) -> "GF2Matrix":
-        return cls(_transpose(cols, n), n)
-
     def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def columns(self) -> list[int]:
-        return _transpose(self.rows, self.n)
+        return (self.cols[j] >> i) & 1
 
     def apply(self, v: int) -> int:
         """Matrix-vector product over GF(2); v is a coordinate bitset."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
-        return out
+        return apply_columns(self.cols, v)
 
     def mul(self, other: "GF2Matrix") -> "GF2Matrix":
+        """Column j of the product is the XOR of the columns of self over
+        the set bits of column j of other: the cost is other's set bits."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        orows = other.rows
-        rows = []
-        for r in self.rows:
+        mine = self.cols
+        cols = []
+        for c in other.cols:
             acc = 0
-            # most rows of products of nilpotent Hecke matrices are zero:
-            # skip them without starting a generator
-            if r:
-                for i in iter_bits(r):
-                    acc ^= orows[i]
-            rows.append(acc)
-        return GF2Matrix(rows, self.n)
+            # most columns of products of nilpotent Hecke matrices are
+            # zero: skip them without starting a generator
+            if c:
+                for i in iter_bits(c):
+                    acc ^= mine[i]
+            cols.append(acc)
+        return GF2Matrix(cols, self.n)
 
     def add(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return GF2Matrix([a ^ b for a, b in zip(self.rows, other.rows)], self.n)
+        return GF2Matrix([a ^ b for a, b in zip(self.cols, other.cols)], self.n)
 
     @property
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
+        return not any(self.cols)
 
     def to_vector(self) -> int:
-        """Flatten row-major into a single n^2-bit vector."""
+        """Flatten column-major: entry (i, j) is bit j*n + i."""
         acc = 0
-        for i, r in enumerate(self.rows):
-            acc |= r << (i * self.n)
+        for j, c in enumerate(self.cols):
+            acc |= c << (j * self.n)
         return acc
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GF2Matrix):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self.cols == other.cols
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rows))
+        return hash((self.n, self.cols))
 
     def __repr__(self) -> str:
-        return f"GF2Matrix(n={self.n}, rows={[bin(r) for r in self.rows]})"
+        return f"GF2Matrix(n={self.n}, cols={[bin(c) for c in self.cols]})"
 
 
 class LinearSolver:
@@ -231,19 +216,3 @@ class LinearSolver:
                 y |= 1 << col
         return y & ((1 << width) - 1)
 
-
-def nullspace(rows: Sequence[int], width: int) -> list[int]:
-    """Basis of {v : every row r has parity(r & v) = 0}: one vector per
-    free coordinate f, back-substituted from 1 << f."""
-    span = Span(rows)
-    pivots = span.echelon()
-    basis = []
-    for f in range(width):
-        if f in span._pivots:
-            continue
-        v = 1 << f
-        for col, r in pivots:
-            if col < f and parity(r & v):
-                v |= 1 << col
-        basis.append(v)
-    return basis

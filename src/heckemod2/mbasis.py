@@ -24,7 +24,7 @@ from math import isqrt
 from .gf2 import apply_columns, even_bits, rank, spread_bits
 from .primes import is_odd_prime
 from .series import F2Series, _odd_delta_power_bits
-from .spaces import DeltaCoords, _greedy_expand, hecke_columns
+from .spaces import DeltaCoords, _greedy_expand, hecke_matrix
 
 MIndex = tuple[int, int]
 
@@ -101,6 +101,16 @@ class FrobenianReport:
         return self.a10 and self.a01 and self.a11 and self.a20 and self.a02
 
 
+def stacked_kernel_is_trivial(t3: tuple[int, ...], t5: tuple[int, ...]) -> bool:
+    """The uniqueness certificate for the level n = len(t3): the columns
+    of [T_3; T_5; e], with e reading the delta coordinate, have rank n
+    exactly when the stacked system has trivial kernel."""
+    n = len(t3)
+    stacked = [c3 | c5 << n for c3, c5 in zip(t3, t5)]
+    stacked[0] |= 1 << (2 * n)
+    return rank(stacked) == n
+
+
 def _odd_b_representation(p: int, c: int) -> bool:
     """Is p = a^2 + c*b^2 with integers a, b and b odd?"""
     b = 1
@@ -151,14 +161,10 @@ class MBasis:
 
     def _rebuild(self):
         n = self._level
-        self._t3 = hecke_columns(3, n)
-        self._t5 = hecke_columns(5, n)
+        self._t3 = hecke_matrix(3, n).cols
+        self._t5 = hecke_matrix(5, n).cols
         self._pows = None
-        # the columns of [T_3; T_5; e], with e reading the delta coordinate:
-        # independent exactly when the stacked kernel is trivial
-        stacked = [c3 | c5 << n for c3, c5 in zip(self._t3, self._t5)]
-        stacked[0] |= 1 << (2 * n)
-        if rank(stacked) != n:
+        if not stacked_kernel_is_trivial(self._t3, self._t5):
             raise RuntimeError(
                 f"uniqueness violated at level {n}: the stacked system "
                 "[T_3; T_5; e] has a nontrivial kernel"

@@ -1,5 +1,6 @@
 """The filtration of spaces spanned by odd powers of delta, and the Hecke
-operators acting on them as exact GF(2) matrices.
+operators acting on them as exact GF(2) matrices, each a tuple of columns:
+column k is the image of delta^(2k+1).
 
 Level n is the n-dimensional space with basis delta, delta^3, ...,
 delta^(2n-1).  In the exponent-ordered basis every Hecke matrix is
@@ -15,7 +16,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .gf2 import (GF2Matrix, Span, apply_columns, even_bits, iter_bits,
-                  lowest_bit, nullspace, rank)
+                  lowest_bit, rank)
 from .primes import is_odd_prime
 from .series import F2Series, PrecisionError, _hecke_bits, _mask, _odd_delta_power_bits
 
@@ -181,19 +182,9 @@ def _checked_columns(p: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def hecke_columns(p: int, n: int) -> tuple[int, ...]:
-    """Columns of T_p on the level-n space, kept for reuse."""
-    return _checked_columns(p, n)
-
-
-@lru_cache(maxsize=None)
 def hecke_matrix(p: int, n: int) -> GF2Matrix:
-    """Matrix of T_p on the level-n space, columns indexed by delta^(2k+1).
-    Only the columns of T_3 and T_5, which the m-basis applies, are kept
-    as well."""
-    if p in RECURRENCE_PRIMES:
-        return GF2Matrix.from_columns(hecke_columns(p, n), n)
-    return GF2Matrix.from_columns(_checked_columns(p, n), n)
+    """Matrix of T_p on the level-n space, kept for reuse."""
+    return GF2Matrix(_checked_columns(p, n), n)
 
 
 class AlgebraSpan:
@@ -205,13 +196,13 @@ class AlgebraSpan:
         self.n = n
         self.generators = tuple(sorted(set(generators)))
         gens = [hecke_matrix(p, n) for p in self.generators]
-        self._span = Span()
         queue = [GF2Matrix.identity(n)]
-        self._span.add(queue[0].to_vector())
+        self._span = Span([queue[0].to_vector()])
         while queue:
             m = queue.pop()
             for g in gens:
-                prod = m.mul(g)
+                # same words as g on the right; costs the bits of m's columns
+                prod = g.mul(m)
                 if self._span.add(prod.to_vector()):
                     queue.append(prod)
 
@@ -226,7 +217,7 @@ class AlgebraSpan:
 def algebra_dimension(n: int, generators) -> int:
     """Dimension of the unital algebra generated by the T_p, p in
     `generators`, acting on the level-n space.  Closure of a spanning set
-    under right multiplication, rank by Gaussian elimination."""
+    under multiplication by the generators, rank by Gaussian elimination."""
     return AlgebraSpan(n, tuple(generators)).dimension
 
 
@@ -235,27 +226,27 @@ def commutant_dimension(n: int) -> int:
     endomorphism algebra, by solving the linear system in n^2 unknowns."""
     if n < 1:
         raise ValueError("level must be >= 1")
+    stride = sum(1 << (k * n) for k in range(n))
     rows = []
     for p in (3, 5):
         a = hecke_matrix(p, n)
-        acols = a.columns()
+        flat = a.to_vector()
         for i in range(n):
             # unknown (k, j) is bit k*n + j: row i of A placed at stride n
-            spread = sum(1 << (k * n) for k in iter_bits(a.rows[i]))
-            rows.extend((acols[j] << (i * n)) ^ (spread << j) for j in range(n))
+            spread = (flat >> i) & stride
+            rows.extend((c << (i * n)) ^ (spread << j)
+                        for j, c in enumerate(a.cols))
     return n * n - rank(rows)
 
 
 def nilpotency_index(m: GF2Matrix) -> int:
     """Smallest s >= 1 with m^s = 0; raises if m is not nilpotent."""
-    if m.is_zero:
-        return 1
     power = m
     s = 1
     while not power.is_zero:
         if s > m.n:
             raise ValueError("matrix is not nilpotent")
-        power = power.mul(m)
+        power = m.mul(power)
         s += 1
     return s
 
@@ -270,15 +261,16 @@ def operator_polynomial(support, n: int) -> GF2Matrix:
     max_j = max(j for _, j in support)
     t3 = hecke_matrix(3, n)
     t5 = hecke_matrix(5, n)
+    # Hecke factors on the left: a product costs its right operand's bits
     pow3 = [GF2Matrix.identity(n)]
     for _ in range(max_i):
-        pow3.append(pow3[-1].mul(t3))
+        pow3.append(t3.mul(pow3[-1]))
     pow5 = [GF2Matrix.identity(n)]
     for _ in range(max_j):
-        pow5.append(pow5[-1].mul(t5))
+        pow5.append(t5.mul(pow5[-1]))
     acc = GF2Matrix.zero(n)
     for i, j in support:
-        acc = acc.add(pow3[i].mul(pow5[j]))
+        acc = acc.add(pow5[j].mul(pow3[i]))
     return acc
 
 
@@ -290,10 +282,13 @@ def check_divisibility(support, n: int, big_n: int) -> bool:
     if big_n < n:
         raise ValueError("big_n must be >= n")
     u = operator_polynomial(support, big_n)
-    col_span = Span(u.columns())
+    col_span = Span(u.cols)
     return all(col_span.contains(1 << k) for k in range(n))
 
 
 def kernel(m: GF2Matrix) -> list[int]:
-    """Basis of the kernel of m acting on coordinate bitsets."""
-    return nullspace(m.rows, m.n)
+    """Basis of the kernel of m acting on coordinate bitsets: the relations
+    among its columns, each column k tagged with bit n + k, read off the
+    echelon vectors whose pivot lies in the tag."""
+    span = Span(c | 1 << (m.n + k) for k, c in enumerate(m.cols))
+    return [v >> m.n for pivot, v in span.echelon() if pivot >= m.n]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from heckemod2 import cli, mbasis, spaces
+from heckemod2 import checks, cli, mbasis, spaces
 from heckemod2.cli import main
 
 
@@ -77,7 +77,7 @@ def nothing_built(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"built something for {args}")
     monkeypatch.setattr(spaces, "hecke_matrix", refuse)
-    monkeypatch.setattr(mbasis, "hecke_columns", refuse)
+    monkeypatch.setattr(mbasis, "hecke_matrix", refuse)
     monkeypatch.setattr(cli, "theta_coords", refuse)
 
 
@@ -177,6 +177,20 @@ def test_verify_timings_go_to_stderr(capsys):
     assert len(timings) == 4
     assert all(line.endswith("s)") for line in timings)
     assert run_cli(capsys, "verify", "--suite", "mbasis")[1] == out
+
+
+@pytest.mark.parametrize("precision,shown", [("0", 1025), ("2000", 2000)])
+def test_theta_identities_precision_floor(capsys, monkeypatch, precision, shown):
+    """Below 1 + 2^10 the special-index identity at c = 4, n = 6 would be
+    skipped (at 0 every identity compares q^0 only), so the override is
+    floored there and the PASS line names the precision really used."""
+    monkeypatch.setitem(checks.SUITES, "theta", [checks.check_theta_tables])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "theta",
+                           "--precision", precision)
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "PASS  theta-tables-identities  [tables n<=3 both forms; "
+        f"identities n<=6 at precision {shown}]")
 
 
 def test_determinism(capsys):

@@ -4,11 +4,12 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heckemod2.gf2 import (GF2Matrix, LinearSolver, Span, iter_bits, nullspace,
-                           rank)
+from heckemod2.gf2 import GF2Matrix, LinearSolver, Span, iter_bits, rank
+from heckemod2.spaces import kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heckemod2"
 
@@ -54,21 +55,22 @@ def test_solver_against_naive_elimination():
                 assert ((r & got).bit_count() & 1) == ((rhs >> i) & 1)
 
 
-def test_nullspace_and_kernel_dimension():
+def test_kernel_against_exhaustive_search():
     rng = random.Random(2)
     for _ in range(800):
-        width = rng.randint(1, 10)
-        rows = [rng.getrandbits(width) for _ in range(rng.randint(1, 16))]
-        basis = nullspace(rows, width)
+        n = rng.randint(1, 10)
+        # the AND of two draws: sparse columns, so kernels of many sizes
+        cols = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+        m = GF2Matrix(cols, n)
+        basis = kernel(m)
         assert rank(basis) == len(basis)
         for v in basis:
-            assert all(((r & v).bit_count() & 1) == 0 for r in rows)
-        count = sum(
-            1 for v in range(1 << width)
-            if all(((r & v).bit_count() & 1) == 0 for r in rows)
-        )
+            assert m.apply(v) == 0
+        count = sum(1 for v in range(1 << n) if m.apply(v) == 0)
         assert count == 1 << len(basis)
-        assert LinearSolver(rows, width).kernel_dimension == len(basis)
+        rows = [sum((c >> i & 1) << j for j, c in enumerate(cols))
+                for i in range(n)]
+        assert LinearSolver(rows, n).kernel_dimension == len(basis)
 
 
 def test_span_membership():
@@ -93,17 +95,19 @@ def test_rank_matches_exhaustive_span():
 
 
 def test_matrix_operations():
-    m = GF2Matrix([0b10, 0b00], 2)  # sends e1 -> e0
+    m = GF2Matrix([0b00, 0b01], 2)  # column 1 is e0: sends e1 -> e0
+    assert m.entry(0, 1) == 1 and m.entry(1, 0) == 0
     assert m.apply(0b10) == 0b01
     assert m.apply(0b01) == 0
     assert m.mul(m).is_zero
     ident = GF2Matrix.identity(3)
     assert ident.mul(ident) == ident
-    assert ident.columns() == [1, 2, 4]
-    rebuilt = GF2Matrix.from_columns(m.columns(), 2)
-    assert rebuilt == m
+    assert ident.cols == (1, 2, 4)
     assert m.add(m).is_zero
-    assert m.to_vector() == 0b10
+    assert m.to_vector() == 0b0100  # entry (i, j) is bit j*n + i
+    for cols, n in (([0b100, 0], 2), ([-1, 0], 2), ([0, 0, 0], 2), ([0], 2)):
+        with pytest.raises(ValueError):
+            GF2Matrix(cols, n)
 
 
 def test_matrix_mul_against_entrywise():

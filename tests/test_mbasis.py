@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckemod2 import mbasis, spaces
-from heckemod2.gf2 import LinearSolver, rank
+from heckemod2.gf2 import GF2Matrix, LinearSolver, rank
 from heckemod2.mbasis import (LevelExhausted, MBasis, code_exponent, code_of,
-                              degree_level)
+                              degree_level, stacked_kernel_is_trivial)
 from heckemod2.series import F2Series, delta_pow, hecke
 from heckemod2.spaces import DeltaCoords, hecke_matrix
 
@@ -57,15 +57,35 @@ def test_first_coefficient_is_kronecker_delta(mtable):
             assert (coords & 1) == (1 if (a, d - a) == (0, 0) else 0)
 
 
+def _rows(m):
+    """The rows of a column-stored matrix, for the row-based solver."""
+    return [sum((c >> i & 1) << j for j, c in enumerate(m.cols))
+            for i in range(m.n)]
+
+
 def test_uniqueness_stacked_kernel_trivial():
     for n in (4, 8, 16, 64):
         t3, t5 = hecke_matrix(3, n), hecke_matrix(5, n)
-        solver = LinearSolver(list(t3.rows) + list(t5.rows) + [1], n)
+        solver = LinearSolver(_rows(t3) + _rows(t5) + [1], n)
         assert solver.kernel_dimension == 0
         # the certificate the table checks: the stacked columns have rank n
-        stacked = [c3 | c5 << n for c3, c5 in zip(t3.columns(), t5.columns())]
+        assert stacked_kernel_is_trivial(t3.cols, t5.cols)
+        stacked = [c3 | c5 << n for c3, c5 in zip(t3.cols, t5.cols)]
         stacked[0] |= 1 << (2 * n)
         assert rank(stacked) == n
+
+
+def test_uniqueness_certificate_against_solver():
+    """The column-rank certificate says trivial exactly when the row
+    solver finds a trivial kernel, also on random column pairs."""
+    rng = random.Random(6)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        t3, t5 = ([rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+                  for _ in range(2))
+        rows = _rows(GF2Matrix(t3, n)) + _rows(GF2Matrix(t5, n)) + [1]
+        assert (stacked_kernel_is_trivial(tuple(t3), tuple(t5))
+                == (LinearSolver(rows, n).kernel_dimension == 0))
 
 
 # -- back-substitution --------------------------------------------------------------
@@ -77,7 +97,7 @@ def test_uniqueness_stacked_kernel_trivial():
 def test_back_substitution_matches_stacked_solver(n):
     """Every entry the level holds equals the stacked LinearSolver's
     solution, with the solver fed its own earlier solutions."""
-    rows = hecke_matrix(3, n).rows + hecke_matrix(5, n).rows + (1,)
+    rows = _rows(hecke_matrix(3, n)) + _rows(hecke_matrix(5, n)) + [1]
     solver = LinearSolver(rows, n)
     table = MBasis(start_level=n, level_cap=n)
     oracle = {}
@@ -93,11 +113,11 @@ def test_back_substitution_matches_stacked_solver(n):
 
 def _corrupt_columns(monkeypatch, corrupt):
     """Hand the table T_3, T_5 columns passed through corrupt(p, n, cols)."""
-    real = mbasis.hecke_columns
+    real = mbasis.hecke_matrix
 
-    def columns(p, n):
-        return tuple(corrupt(p, n, list(real(p, n))))
-    monkeypatch.setattr(mbasis, "hecke_columns", columns)
+    def matrix(p, n):
+        return GF2Matrix(corrupt(p, n, list(real(p, n).cols)), n)
+    monkeypatch.setattr(mbasis, "hecke_matrix", matrix)
 
 
 def test_zero_column_pair_violates_uniqueness(monkeypatch):
@@ -365,7 +385,7 @@ def _forbid_building(monkeypatch):
     def refuse(p, n):
         raise AssertionError(f"built T_{p} at level {n}")
     monkeypatch.setattr(spaces, "hecke_matrix", refuse)
-    monkeypatch.setattr(mbasis, "hecke_columns", refuse)
+    monkeypatch.setattr(mbasis, "hecke_matrix", refuse)
 
 
 def test_level_over_cap_fails_before_building(monkeypatch):

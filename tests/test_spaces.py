@@ -1,18 +1,20 @@
 """Filtration levels, Hecke matrices, algebra and commutant dimensions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckemod2.gf2 import GF2Matrix, rank
+from heckemod2 import spaces
+from heckemod2.gf2 import GF2Matrix, Span, rank
 from heckemod2.series import (F2Series, PrecisionError, _mask, delta,
                               delta_pow, hecke)
 from heckemod2.spaces import (MODULAR_EQUATIONS, AlgebraSpan, DeltaCoords,
                               NotInSpan, _direct_columns, _greedy_expand,
                               algebra_dimension, check_divisibility,
                               commutant_dimension, expand_in_delta_basis,
-                              hecke_columns, hecke_matrix, kernel,
-                              nilpotency_index)
+                              hecke_matrix, kernel, nilpotency_index)
 
 # -- delta-basis expansion ----------------------------------------------------
 
@@ -97,7 +99,7 @@ def test_leading_and_dominant_exponent():
 
 def test_hecke_matrix_examples():
     m = hecke_matrix(3, 2)
-    assert m.rows == (0b10, 0)  # delta^3 -> delta, delta -> 0
+    assert m.cols == (0, 0b01)  # delta -> 0, delta^3 -> delta
     assert hecke_matrix(5, 2).is_zero
     m53 = hecke_matrix(5, 3)
     assert m53.apply(0b100) == 0b001  # delta^5 -> delta
@@ -109,12 +111,7 @@ def test_hecke_matrix_examples():
 def test_recurrence_columns_match_hecke_bits(p, n):
     """T_3 and T_5 from the modular-equation recurrence equal the columns
     read off q-expansions through _hecke_bits."""
-    assert hecke_columns(p, n) == tuple(_direct_columns(p, n))
-
-
-def test_hecke_matrix_rows_are_its_columns():
-    for p in (3, 5, 7):
-        assert tuple(hecke_matrix(p, 40).columns()) == hecke_columns(p, 40)
+    assert hecke_matrix(p, n).cols == tuple(_direct_columns(p, n))
 
 
 @pytest.mark.parametrize("p", sorted(MODULAR_EQUATIONS))
@@ -154,16 +151,14 @@ def test_strict_triangularity():
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
               61, 67, 71, 73, 79, 83, 89, 97):
         m = hecke_matrix(p, 24)
-        for i in range(24):
-            assert m.rows[i] & ((1 << (i + 1)) - 1) == 0  # only higher columns
+        for k in range(24):
+            assert m.cols[k] >> k == 0  # delta^(2k+1) -> lower powers only
 
 
 def test_levels_nest():
     big = hecke_matrix(7, 32)
     for n in (1, 2, 5, 12, 31):
-        small = hecke_matrix(7, n)
-        mask = (1 << n) - 1
-        assert all(small.rows[i] == big.rows[i] & mask for i in range(n))
+        assert hecke_matrix(7, n).cols == big.cols[:n]
 
 
 # -- algebra dimension -------------------------------------------------------------
@@ -200,6 +195,42 @@ def test_other_generator_pairs():
                 assert algebra_dimension(n, (p, q)) == n
 
 
+def _right_closure(gens, n):
+    """Reference: the span of the words in `gens`, closed under right
+    multiplication from the identity."""
+    span = Span([GF2Matrix.identity(n).to_vector()])
+    queue, words = [GF2Matrix.identity(n)], [GF2Matrix.identity(n)]
+    while queue:
+        m = queue.pop()
+        for g in gens:
+            prod = m.mul(g)
+            if span.add(prod.to_vector()):
+                queue.append(prod)
+                words.append(prod)
+    return words
+
+
+def test_algebra_span_against_right_closure(monkeypatch):
+    """Closing under left multiplication spans the same algebra as the
+    right-multiplication closure, for random generators that need not
+    commute as well as for Hecke pairs."""
+    for p, q, n in ((3, 5, 20), (11, 13, 16), (7, 19, 9)):
+        want = _right_closure([hecke_matrix(p, n), hecke_matrix(q, n)], n)
+        span = AlgebraSpan(n, (p, q))
+        assert span.dimension == len(want)
+        assert all(span.contains(w) for w in want)
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        mats = {label: GF2Matrix([rng.getrandbits(n) for _ in range(n)], n)
+                for label in range(rng.randint(1, 3))}
+        monkeypatch.setattr(spaces, "hecke_matrix", lambda p, n: mats[p])
+        want = _right_closure(list(mats.values()), n)
+        span = AlgebraSpan(n, tuple(mats))
+        assert span.dimension == len(want)
+        assert all(span.contains(w) for w in want)
+
+
 def test_algebra_requires_generators():
     with pytest.raises(ValueError):
         algebra_dimension(4, ())
@@ -221,6 +252,28 @@ def test_commutant_level_2_brute_force():
         if x.mul(t3) == t3.mul(x) and x.mul(t5) == t5.mul(x):
             count += 1
     assert count == 1 << commutant_dimension(2)
+
+
+def _commutant_reference(n):
+    """Reference: n^2 minus the rank of the system X A = A X over A = T_3,
+    T_5, one equation per entry (i, j) on the unknowns X[k][l] = bit
+    k*n + l, read entry by entry."""
+    eqs = []
+    for p in (3, 5):
+        a = hecke_matrix(p, n)
+        for i in range(n):
+            for j in range(n):
+                eq = 0
+                for k in range(n):
+                    eq ^= a.entry(k, j) << (i * n + k)  # (X A)_ij
+                    eq ^= a.entry(i, k) << (k * n + j)  # (A X)_ij
+                eqs.append(eq)
+    return n * n - rank(eqs)
+
+
+def test_commutant_against_entrywise_system():
+    for n in range(1, 13):
+        assert commutant_dimension(n) == _commutant_reference(n)
 
 
 def test_commutant_matches_algebra_dimension():
@@ -284,11 +337,10 @@ def test_delta5_not_in_kernel_of_t5():
 
 def test_kernel_equality_within_residue_class():
     for n in (6, 16):
-        t3_rows = hecke_matrix(3, n).rows
-        for p in (11, 19, 43):
-            rows = hecke_matrix(p, n).rows
-            assert rank(rows) == rank(t3_rows) == rank(list(rows) + list(t3_rows))
-        t5_rows = hecke_matrix(5, n).rows
-        for p in (13, 29, 37):
-            rows = hecke_matrix(p, n).rows
-            assert rank(rows) == rank(t5_rows) == rank(list(rows) + list(t5_rows))
+        for base, primes in ((3, (11, 19, 43)), (5, (13, 29, 37))):
+            ref = hecke_matrix(base, n)
+            for p in primes:
+                m = hecke_matrix(p, n)
+                # the kernels agree: same dimension, one inside the other
+                assert len(kernel(m)) == len(kernel(ref))
+                assert all(m.apply(v) == 0 for v in kernel(ref))
