@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from math import prod
 
 from .gf2 import GF2Matrix, lowest_bit, rank
 from .mbasis import MBasis, stacked_kernel_is_trivial
@@ -166,19 +168,9 @@ def check_structure_suite(table: MBasis | None = None) -> CheckResult:
             bad.append(f"duality roundtrip fails for coords {coords:#x}")
             break
 
-    # pairing witness: factor the leading exponent, apply those T_p, land
-    # on q^1 coefficient 1 -- for every nonzero element of the level-8 space
-    mats = {p: hecke_matrix(p, 8) for p in (3, 5, 7, 11, 13)}
-    for coords in range(1, 1 << 8):
-        m = 2 * lowest_bit(coords) + 1
-        v = coords
-        for p in odd_prime_factors(m):
-            v = mats[p].apply(v)
-        if v & 1 != 1:
-            bad.append(f"pairing witness fails for coords {coords:#x}")
-            break
-
-    # same statement on all 65535 nonzero elements of the level-16 space,
+    # pairing witness: factor the leading exponent m, apply those T_p, land
+    # on q^1 coefficient 1 -- for all 65535 nonzero elements of the level-16
+    # space, which include the 255 of the level-8 space (coords < 2^8),
     # reading only the q^1 functional of each witness operator
     mats16 = {p: hecke_matrix(p, 16) for p in (3, 5, 7, 11, 13, 17, 19, 23,
                                                29, 31)}
@@ -327,25 +319,14 @@ def _pairing_prediction(m: int, f: F2Series) -> int:
     """Predicted q^1 coefficient of prod_p T_p^{e_p} f for m = prod p^e_p,
     expanding each repeated factor through the Hecke relation."""
     factor_sets = [[]]
-    mm = m
-    p = 3
-    while mm > 1:
-        e = 0
-        while mm % p == 0:
-            e += 1
-            mm //= p
-        if e:
-            factor_sets = [
-                prev + [p ** j] for prev in factor_sets
-                for j in _prime_power_indices(e)
-            ]
-        p += 2
+    for p, e in Counter(odd_prime_factors(m)).items():
+        factor_sets = [
+            prev + [p ** j] for prev in factor_sets
+            for j in _prime_power_indices(e)
+        ]
     acc = 0
     for choice in factor_sets:
-        idx = 1
-        for v in choice:
-            idx *= v
-        acc ^= f.coeff(idx)
+        acc ^= f.coeff(prod(choice))
     return acc
 
 

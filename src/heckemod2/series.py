@@ -13,6 +13,8 @@ truncation of its delta power, so sharing it changes no result.
 from __future__ import annotations
 
 import threading
+from functools import reduce
+from operator import xor
 
 from .gf2 import iter_bits, lowest_bit, spread_bits
 from .primes import is_odd_prime
@@ -171,9 +173,9 @@ def _odd_delta_power_bits(count: int, precision: int) -> list[int]:
     `precision`; entries may carry bits above it, so mask before use.
 
     Served from the shared table: more powers extend it by multiplying by
-    delta^2, more precision recomputes all its powers at exactly that
-    precision.  The returned list is a fresh copy, never changed by later
-    growth.
+    delta^2, as one shift per exponent of delta^2 (read once), and more
+    precision recomputes all its powers at exactly that precision.  The
+    returned list is a fresh copy, never changed by later growth.
     """
     global _powers, _powers_precision
     with _powers_lock:
@@ -181,11 +183,12 @@ def _odd_delta_power_bits(count: int, precision: int) -> list[int]:
         if not _powers or precision > _powers_precision:
             _powers, _powers_precision = [delta(precision).bits], precision
         if want > len(_powers):
-            d2 = square(delta(_powers_precision))
-            cur = F2Series(_powers[-1], _powers_precision)
+            shifts = square(delta(_powers_precision)).support()
+            mask = _mask(_powers_precision)
+            cur = _powers[-1]
             for _ in range(want - len(_powers)):
-                cur = mul(cur, d2)
-                _powers.append(cur.bits)
+                cur = reduce(xor, [cur << s for s in shifts], 0) & mask
+                _powers.append(cur)
         return _powers[:count]
 
 

@@ -223,6 +223,7 @@ def test_hecke_bits_matches_reference(case):
 
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 400)),
                 min_size=1, max_size=8))
+@example([(2, 0)])  # delta^2 is 0 below precision 2
 @settings(max_examples=60, deadline=None)
 def test_power_table_serves_exact_truncations(requests):
     """Any sequence of requests (growing, shrinking, regrowing either

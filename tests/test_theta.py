@@ -1,10 +1,12 @@
 """Theta families: tables, identities, composition laws, Hecke action."""
 
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
 
+from heckemod2 import theta
 from heckemod2.series import F2Series, delta, delta_pow, hecke
 from heckemod2.theta import (CompositionLaw, NoRepresentation, ThetaIndex,
                              representable_mask, t_of_prime, theta_coords,
@@ -119,10 +121,99 @@ def test_generator_has_full_order():
             assert cur == 0 and len(seen) == law.modulus
 
 
+def composition_group_reference(n, c):
+    """Exhaustive reference: the full table, the identity, inverses and
+    commutativity checked directly, a searched generator whose orbit is an
+    explicit bijection phi, phi(k+l) = phi(k)*phi(l) on all pairs, and
+    associativity on every triple for n <= 6."""
+    law = CompositionLaw(n, c)
+    m = law.modulus
+    inv_odd = [0] * m
+    for d in range(1, m, 2):
+        inv_odd[d] = theta._invert_odd(d, n)
+    table = [
+        [((x + y) * inv_odd[(1 - c * x * y) % m]) % m for y in range(m)]
+        for x in range(m)
+    ]
+    if table[0] != list(range(m)):
+        return False
+    for x in range(m):
+        if table[x][(m - x) % m] != 0:
+            return False
+        for y in range(x):
+            if table[x][y] != table[y][x]:
+                return False
+    for g in range(1, m):
+        phi = [0]
+        cur = 0
+        for _ in range(m - 1):
+            cur = table[cur][g]
+            phi.append(cur)
+        if table[cur][g] == 0 and sorted(phi) == list(range(m)):
+            break
+    else:
+        return False
+    for k in range(m):
+        pk = phi[k]
+        for l in range(k, m):
+            if phi[(k + l) % m] != table[pk][phi[l]]:
+                return False
+    if n <= 6:
+        for x in range(m):
+            tx = table[x]
+            for y in range(m):
+                txy = table[tx[y]]
+                ty = table[y]
+                for z in range(m):
+                    if txy[z] != tx[ty[z]]:
+                        return False
+    return True
+
+
 def test_verify_composition_group():
     for n in range(1, 9):
         for c in (2, 4):
             assert verify_composition_group(n, c), (n, c)
+            if n <= 7:
+                assert composition_group_reference(n, c), (n, c)
+
+
+def test_composition_certificate_matches_reference_on_corrupted_laws(monkeypatch):
+    """Shift the inverse of one odd residue d mod 2^n by every nonzero s:
+    the certificate and the reference accept and reject the same laws."""
+    invert = theta._invert_odd
+    rejected = 0
+    for n in range(1, 6):
+        m = 1 << n
+        for c in (2, 4):
+            for bad in range(1, m, 2):
+                for shift in range(1, m):
+                    monkeypatch.setattr(
+                        theta, "_invert_odd",
+                        lambda d, k: (invert(d, k) + shift * (d == bad)) % (1 << k))
+                    got = verify_composition_group(n, c)
+                    assert got == composition_group_reference(n, c), (n, c, bad, shift)
+                    rejected += not got
+    assert rejected > 0
+
+
+def test_composition_group_rejects_bad_parameters():
+    with pytest.raises(ValueError):
+        verify_composition_group(0, 2)
+    with pytest.raises(ValueError):
+        verify_composition_group(3, 3)
+
+
+def test_composition_group_memory_is_linear():
+    """The certificate streams one row at a time: at n = 8 it stays far
+    below the 256 x 256 table of the exhaustive reference."""
+    tracemalloc.start()
+    try:
+        verify_composition_group(8, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024, peak
 
 
 # -- translation parameters --------------------------------------------------------
