@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .gf2 import GF2Matrix, lowest_bit, rank
-from .mbasis import MBasis, stacked_kernel_is_trivial
+from .mbasis import MBasis, code_level, stacked_kernel_is_trivial
 from .primes import odd_prime_factors, odd_primes
 from .series import F2Series, delta_pow, hecke
 from .spaces import (AlgebraSpan, DeltaCoords, check_divisibility,
@@ -85,23 +85,15 @@ def _timed(fn):
     return wrapper
 
 
-_shared_table: MBasis | None = None
-
-
-def shared_table() -> MBasis:
-    global _shared_table
-    if _shared_table is None:
-        _shared_table = MBasis(start_level=64)
-    return _shared_table
-
-
 # -- m-basis ---------------------------------------------------------------
 
 @_timed
-def check_m_table(table: MBasis | None = None) -> CheckResult:
+def check_m_table() -> CheckResult:
     """m(a,b) for a+b <= 3 matches the published table, and the explicit
     power families hold for r <= 3."""
-    table = table or shared_table()
+    table = MBasis()
+    # m(0,8), the deepest entry read, fixes the one level built
+    table.ensure_level(code_level(0, 8))
     bad = []
     for (a, b), want in M_TABLE_SMALL.items():
         got = table.element(a, b).support_exponents()
@@ -125,11 +117,11 @@ def check_m_table(table: MBasis | None = None) -> CheckResult:
 
 
 @_timed
-def check_structure_suite(table: MBasis | None = None) -> CheckResult:
+def check_structure_suite() -> CheckResult:
     """Shift action and uniqueness of the m-basis up to degree 6, duality
     roundtrip on random elements, leading-exponent pairing witnesses, and
     divisibility of the module."""
-    table = table or shared_table()
+    table = MBasis()
     bad = []
 
     # shift action verified on q-expansions, not by construction
@@ -153,7 +145,7 @@ def check_structure_suite(table: MBasis | None = None) -> CheckResult:
                 bad.append(f"T5 shift fails at ({a},{b})")
 
     # uniqueness: the stacked system has trivial kernel
-    for n in (8, 16, table.level):
+    for n in (8, 16, 256):
         if not stacked_kernel_is_trivial(hecke_matrix(3, n).cols,
                                          hecke_matrix(5, n).cols):
             bad.append(f"stacked kernel nontrivial at level {n}")
@@ -208,10 +200,10 @@ def check_structure_suite(table: MBasis | None = None) -> CheckResult:
 
 
 @_timed
-def check_dominant_exponents(table: MBasis | None = None) -> CheckResult:
+def check_dominant_exponents() -> CheckResult:
     """The largest delta exponent of m(a,b) is an odd integer whose code
     is (a,b), for a+b <= 6."""
-    table = table or shared_table()
+    table = MBasis()
     table.ensure_degree(6)
     bad = []
     for d in range(7):
@@ -230,12 +222,12 @@ def check_dominant_exponents(table: MBasis | None = None) -> CheckResult:
 # -- Hecke algebra ----------------------------------------------------------
 
 @_timed
-def check_algebra_dimension(max_level: int = 64) -> CheckResult:
+def check_algebra_dimension() -> CheckResult:
     """The unital algebra generated by T_3 and T_5 on the level-n space has
     dimension exactly n, and every T_p with p <= 31 already lies in it."""
     extra = [p for p in odd_primes(31) if p not in (3, 5)]
     bad = []
-    for n in range(1, max_level + 1):
+    for n in range(1, 65):
         span = AlgebraSpan(n, (3, 5))
         if span.dimension != n:
             bad.append(f"dim at level {n} = {span.dimension}")
@@ -246,26 +238,27 @@ def check_algebra_dimension(max_level: int = 64) -> CheckResult:
     return CheckResult(
         "hecke-algebra-dimension", not bad,
         "; ".join(bad) if bad else
-        f"dim = n for n<={max_level}; generators up to 31 add nothing")
+        "dim = n for n<=64; generators up to 31 add nothing")
 
 
 @_timed
-def check_commutant(max_level: int = 32) -> CheckResult:
+def check_commutant() -> CheckResult:
     """The commutant of {T_3, T_5} in the full matrix algebra has dimension
     n: nothing commutes with the Hecke action beyond the algebra itself."""
-    bad = [n for n in range(1, max_level + 1) if commutant_dimension(n) != n]
+    bad = [n for n in range(1, 33) if commutant_dimension(n) != n]
     return CheckResult(
         "commutant", not bad,
-        f"failures at n={bad}" if bad else f"dimension n for n<={max_level}")
+        f"failures at n={bad}" if bad else "dimension n for n<=32")
 
 
 @_timed
-def check_triangularity(max_prime: int = 97, max_level: int = 64) -> CheckResult:
+def check_triangularity() -> CheckResult:
     """Every Hecke matrix with p <= 97, n <= 64 is strictly triangular in
     the exponent-ordered basis (asserted during construction, re-verified
     here), levels nest, and the matrices are nilpotent."""
+    max_level = 64
     bad = []
-    for p in odd_primes(max_prime):
+    for p in odd_primes(97):
         big = hecke_matrix(p, max_level)
         for n in range(1, max_level + 1):
             cols = hecke_matrix(p, n).cols
@@ -282,7 +275,7 @@ def check_triangularity(max_prime: int = 97, max_level: int = 64) -> CheckResult
     return CheckResult(
         "triangularity-nilpotency", not bad,
         "; ".join(bad[:4]) if bad else
-        f"all odd p<={max_prime} at every level n<={max_level}; nilpotent")
+        f"all odd p<=97 at every level n<={max_level}; nilpotent")
 
 
 @_timed
@@ -357,13 +350,13 @@ def check_pairing_formula() -> CheckResult:
 
 
 @_timed
-def check_generation_pairs(max_level: int = 32) -> CheckResult:
+def check_generation_pairs() -> CheckResult:
     """Any pair T_p, T_p' with p = 3 mod 8 and p' = 5 mod 8 generates the
     full algebra (checked for p, p' <= 37, levels up to 32)."""
     ps = [p for p in odd_primes(37) if p % 8 == 3]
     qs = [p for p in odd_primes(37) if p % 8 == 5]
     bad = []
-    for n in range(1, max_level + 1):
+    for n in range(1, 33):
         for p in ps:
             for q in qs:
                 span = AlgebraSpan(n, (p, q))
@@ -372,15 +365,15 @@ def check_generation_pairs(max_level: int = 32) -> CheckResult:
     return CheckResult(
         "generation-by-pairs", not bad,
         "; ".join(bad) if bad else
-        f"{len(ps)}x{len(qs)} pairs, levels <= {max_level}")
+        f"{len(ps)}x{len(qs)} pairs, levels <= 32")
 
 
 @_timed
-def check_kernel_equality(max_level: int = 32) -> CheckResult:
+def check_kernel_equality() -> CheckResult:
     """T_p has the same kernel as T_3 when p = 3 mod 8, and as T_5 when
     p = 5 mod 8: T_p, T_base and [T_p; T_base] have one rank, n <= 32."""
     bad = []
-    for n in range(1, max_level + 1):
+    for n in range(1, 33):
         for base, cls in ((3, 3), (5, 5)):
             ref = hecke_matrix(base, n).cols
             r_ref = rank(ref)
@@ -393,11 +386,11 @@ def check_kernel_equality(max_level: int = 32) -> CheckResult:
                     bad.append(f"ker T_{p} != ker T_{base} at level {n}")
     return CheckResult(
         "kernel-equality", not bad,
-        "; ".join(bad) if bad else f"p<=100 in both classes, n<={max_level}")
+        "; ".join(bad) if bad else "p<=100 in both classes, n<=32")
 
 
 @_timed
-def check_module_cyclicity(max_level: int = 32) -> CheckResult:
+def check_module_cyclicity() -> CheckResult:
     """The level-n space is a cyclic (equivalently free, by the dimension
     count) module over its Hecke algebra exactly when n is 1, 2 or a power
     of two: the quotient by the maximal-ideal image, computed as
@@ -406,7 +399,7 @@ def check_module_cyclicity(max_level: int = 32) -> CheckResult:
     At n = 4 this is forced by the tabulated values alone: the shift
     action on m(1,1) = delta^7 reaches delta^5, delta^3 and delta."""
     bad = []
-    for n in range(1, max_level + 1):
+    for n in range(1, 33):
         cols = hecke_matrix(3, n).cols + hecke_matrix(5, n).cols
         quotient = n - rank(cols)
         cyclic_expected = n & (n - 1) == 0
@@ -415,17 +408,17 @@ def check_module_cyclicity(max_level: int = 32) -> CheckResult:
     return CheckResult(
         "module-cyclicity", not bad,
         "; ".join(bad) if bad else
-        f"cyclic exactly at powers of two, checked n<={max_level}")
+        "cyclic exactly at powers of two, checked n<=32")
 
 
 # -- T_p expansions -----------------------------------------------------------
 
 @_timed
-def check_tp_tables(table: MBasis | None = None) -> CheckResult:
+def check_tp_tables() -> CheckResult:
     """The expansions of T_7, T_11, T_13, T_17 in x = T_3, y = T_5 match
     the published series coefficient-for-coefficient through the printed
     total degrees."""
-    table = table or shared_table()
+    table = MBasis()
     bad = []
     for p, (printed, depth) in sorted(TP_PRINTED.items()):
         got = {ij for ij in table.tp_expansion(p, depth)}
@@ -440,15 +433,15 @@ def check_tp_tables(table: MBasis | None = None) -> CheckResult:
 
 
 @_timed
-def check_frobenian(bound: int = 1000, degree: int = 8,
-                    table: MBasis | None = None) -> CheckResult:
-    """For every odd prime below the bound: the parity class of every
-    monomial of T_p is determined by p mod 8, and the five explicit
-    coefficient criteria hold (congruences and representation searches)."""
-    table = table or shared_table()
+def check_frobenian() -> CheckResult:
+    """For every odd prime below 1000: the parity class of every monomial
+    of T_p, through degree 8, is determined by p mod 8, and the five
+    explicit coefficient criteria hold (congruences and representation
+    searches)."""
+    table = MBasis()
     bad = []
-    for p in odd_primes(bound - 1):
-        if not table.parity_pattern_ok(p, degree):
+    for p in odd_primes(999):
+        if not table.parity_pattern_ok(p, 8):
             bad.append(f"parity pattern fails for {p}")
         report = table.frobenian_criteria(p)
         if not report.all_ok:
@@ -456,16 +449,16 @@ def check_frobenian(bound: int = 1000, degree: int = 8,
     return CheckResult(
         "frobenian-criteria", not bad,
         "; ".join(bad[:4]) if bad else
-        f"all odd p < {bound}, degree <= {degree}")
+        "all odd p < 1000, degree <= 8")
 
 
 @_timed
-def check_aij_consistency(table: MBasis | None = None) -> CheckResult:
+def check_aij_consistency() -> CheckResult:
     """a_ij(p) computed as the q^p coefficient of m(i,j) agrees with the
     shift coefficients read from the m-expansion of T_p m(5,5)."""
-    table = table or shared_table()
-    table.ensure(5, 5)
-    level = 256
+    table = MBasis()
+    # T_p is triangular, so it keeps m(5,5) in the least level holding it
+    level = code_level(5, 5)
     coords = table.element(5, 5).coords
     bad = []
     for p in odd_primes(50):
@@ -483,10 +476,10 @@ def check_aij_consistency(table: MBasis | None = None) -> CheckResult:
 
 
 @_timed
-def check_injectivity_witnesses(table: MBasis | None = None) -> CheckResult:
+def check_injectivity_witnesses() -> CheckResult:
     """Witness construction: for sample series u in x, y the returned odd k
     satisfies u(T_3, T_5) delta^k = delta (verified internally)."""
-    table = table or shared_table()
+    table = MBasis()
     cases = [
         ({(0, 0): 1}, 1), ({(1, 0): 1}, 3), ({(2, 0): 1, (0, 2): 1}, 9),
     ]
@@ -526,16 +519,15 @@ def check_theta_tables(precision: int = 4096) -> CheckResult:
 
 
 @_timed
-def check_span_equalities(table: MBasis | None = None) -> CheckResult:
+def check_span_equalities() -> CheckResult:
     """Theta families span the same subspaces as the boundary rows of the
     m-basis: m(a,0) for the form x^2+2y^2, m(0,b) for x^2+4y^2."""
-    table = table or shared_table()
     bad = []
     for n in range(1, 5):
-        if not verify_span_equality(n, 2, table):
+        if not verify_span_equality(n, 2):
             bad.append(f"c=2 n={n}")
     for n in range(1, 4):
-        if not verify_span_equality(n, 4, table):
+        if not verify_span_equality(n, 4):
             bad.append(f"c=4 n={n}")
     return CheckResult(
         "theta-span-equalities", not bad,
@@ -597,27 +589,26 @@ def check_composition_compatibility(precision: int = 128) -> CheckResult:
 
 
 @_timed
-def check_composition_groups(max_n: int = 10) -> CheckResult:
+def check_composition_groups() -> CheckResult:
     """(Z/2^n, *) is an abelian group, cyclic of order 2^n, for both laws."""
     bad = [
         f"n={n} c={c}"
-        for n in range(1, max_n + 1) for c in (2, 4)
+        for n in range(1, 11) for c in (2, 4)
         if not verify_composition_group(n, c)
     ]
     return CheckResult(
         "composition-groups", not bad,
-        "; ".join(bad) if bad else f"abelian + cyclic of order 2^n, n<={max_n}")
+        "; ".join(bad) if bad else "abelian + cyclic of order 2^n, n<=10")
 
 
 @_timed
-def check_kernel_characterization(table: MBasis | None = None) -> CheckResult:
+def check_kernel_characterization() -> CheckResult:
     """Kernel vectors of T_5 (resp. T_3) have representable q-support and
     lie in the theta (resp. theta') span."""
-    table = table or shared_table()
     bad = []
     for c in (2, 4):
         for n_level in (2, 4, 8):
-            if not verify_kernel_characterization(n_level, c, 2048, table):
+            if not verify_kernel_characterization(n_level, c, 2048):
                 bad.append(f"c={c} level {n_level}")
     return CheckResult(
         "theta-kernel-characterization", not bad,

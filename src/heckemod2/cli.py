@@ -12,10 +12,10 @@ import argparse
 import sys
 
 from .checks import SUITES, run_suite
-from .mbasis import LEVEL_CAP, LevelExhausted, MBasis, code_exponent
+from .mbasis import LEVEL_CAP, LevelExhausted, MBasis
 from .primes import odd_primes
 from .spaces import DeltaCoords, NotInSpan, expand_in_delta_basis
-from .theta import theta_coords
+from .theta import theta_coords, theta_level
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -80,11 +80,7 @@ def cmd_theta_table(args) -> int:
         return _usage_error("--n-max must be >= 1")
     if args.precision < 0:
         return _usage_error("--precision must be >= 0")
-    # every series lies in the span of m(a,0) (c = 2), resp. m(0,b) (c = 4),
-    # with index below 2^(n-1), so its delta exponents are at most this
-    top = (1 << (args.n_max - 1)) - 1
-    exponent = code_exponent(top, 0) if args.c == 2 else code_exponent(0, top)
-    level = max(16, (args.precision + 1) // 2, (exponent + 1) // 2)
+    level = max((args.precision + 1) // 2, theta_level(args.n_max, args.c))
     if level > LEVEL_CAP:
         raise LevelExhausted(f"level {level} needed, over the level cap {LEVEL_CAP}")
     for n in range(1, args.n_max + 1):

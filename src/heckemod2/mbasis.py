@@ -127,25 +127,20 @@ class MBasis:
     """Table of m(a,b) elements at one working level.
 
     Nothing is built at construction.  A request that needs a higher level
-    moves the table there once, at least doubling the level (and never
-    below `start_level`), rebuilds there the T_3/T_5 columns and checks
-    that the stacked system has trivial kernel; entries are then solved
-    from their parents by back-substitution on those columns.  A level
-    over `level_cap` raises LevelExhausted before anything is built.
-    Delta powers, for T_p expansions, are taken at a working precision of
-    at least max(2*level - 1, MIN_PRECISION).  Construction is sequential;
-    a completed table is read-only for consumers.
+    moves the table there once, at least doubling the level, rebuilds
+    there the T_3/T_5 columns and checks that the stacked system has
+    trivial kernel; entries are then solved from their parents by
+    back-substitution on those columns.  A level over `LEVEL_CAP` raises
+    LevelExhausted before anything is built.  Delta powers, for T_p
+    expansions, are taken at a working precision of at least
+    max(2*level - 1, MIN_PRECISION).  Construction is sequential; a
+    completed table is read-only for consumers.
     """
 
-    def __init__(self, start_level: int = 16, level_cap: int = LEVEL_CAP):
-        if start_level < 1:
-            raise ValueError("start_level must be >= 1")
-        self._start = start_level
+    def __init__(self):
         self._level = 0
         self._degree = -1
-        self._cap = level_cap
         self._min_precision = MIN_PRECISION
-        self._pows = None
         self._entries: dict[MIndex, int] = {}
 
     # -- level / precision management -------------------------------------
@@ -163,7 +158,6 @@ class MBasis:
         n = self._level
         self._t3 = hecke_matrix(3, n).cols
         self._t5 = hecke_matrix(5, n).cols
-        self._pows = None
         if not stacked_kernel_is_trivial(self._t3, self._t5):
             raise RuntimeError(
                 f"uniqueness violated at level {n}: the stacked system "
@@ -171,11 +165,11 @@ class MBasis:
             )
 
     def _grow(self, level: int):
-        if level > self._cap:
+        if level > LEVEL_CAP:
             raise LevelExhausted(
-                f"level {level} needed, over the level cap {self._cap}"
+                f"level {level} needed, over the level cap {LEVEL_CAP}"
             )
-        self._level = min(max(level, 2 * self._level, self._start), self._cap)
+        self._level = min(max(level, 2 * self._level), LEVEL_CAP)
         self._rebuild()
 
     def ensure_level(self, level: int):
@@ -187,12 +181,6 @@ class MBasis:
         doubling it, so a run of rising requests regrows only O(log) times."""
         if precision > self.precision:
             self._min_precision = max(precision, 2 * self.precision)
-            self._pows = None
-
-    def _delta_powers(self) -> list[int]:
-        if self._pows is None:
-            self._pows = _odd_delta_power_bits(self._level, self.precision)
-        return self._pows
 
     # -- table construction ------------------------------------------------
 
@@ -261,7 +249,7 @@ class MBasis:
             return
         # m(0, degree) alone rules out a degree too deep for the cap
         level = code_level(0, degree)
-        if level <= self._cap:
+        if level <= LEVEL_CAP:
             level = degree_level(degree)
         self.ensure_level(level)
         for d in range(degree + 1):
@@ -373,7 +361,8 @@ class MBasis:
         self.ensure_degree(degree)
         self.ensure_precision(p)
         probe = 0
-        for i, bits in enumerate(self._delta_powers()):
+        for i, bits in enumerate(_odd_delta_power_bits(self._level,
+                                                       self.precision)):
             probe |= ((bits >> p) & 1) << i
         return frozenset(
             (i, j)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .gf2 import Span, rank
+from .mbasis import MBasis, code_level
 from .primes import is_odd_prime
 from .series import F2Series, delta, delta_pow, hecke
 from .spaces import DeltaCoords, expand_in_delta_basis, hecke_matrix, kernel
@@ -80,6 +81,15 @@ def theta_series(t: int, n: int, c: int, precision: int) -> F2Series:
 def theta_coords(t: int, n: int, c: int, level: int) -> DeltaCoords:
     """Expansion of a theta series in the delta-power basis at a level."""
     return expand_in_delta_basis(theta_series(t, n, c, 2 * level - 1), level)
+
+
+def theta_level(n: int, c: int) -> int:
+    """The least level holding the whole family of index n: it spans the
+    same space as m(a,0) (c = 2), resp. m(0,b) (c = 4), with index below
+    2^(n-1), and the last of those has the largest code."""
+    _validate_c(c)
+    top = (1 << (n - 1)) - 1
+    return code_level(top, 0) if c == 2 else code_level(0, top)
 
 
 @dataclass(frozen=True)
@@ -154,27 +164,23 @@ def t_of_prime(p: int, n: int, c: int) -> int:
     return values.pop()
 
 
-def hecke_theta_rhs(p: int, t: int, n: int, c: int, precision: int) -> F2Series:
-    """The predicted value of T_p on the theta series of index (t, n):
-    zero for p in the inert classes, otherwise the two-term sum over the
-    composition law."""
-    if p % 8 in INERT_CLASSES[c]:
-        return F2Series(0, precision)
-    law = CompositionLaw(n, c)
-    tp = t_of_prime(p, n, c)
-    u = law.compose(t, tp)
-    v = law.compose(t, law.inverse(tp))
-    return theta_series(u, n, c, precision) + theta_series(v, n, c, precision)
-
-
 def verify_hecke_on_theta(p: int, n: int, c: int, precision: int) -> bool:
-    """Check T_p theta_(t,n) against the composition-law prediction for
-    every canonical t; the left side is computed honestly from a series at
-    precision p * precision."""
-    modulus = 1 << n
-    for t in range(modulus // 2 + 1):
+    """Check T_p theta_(t,n) for every canonical t against the
+    composition-law prediction: zero for p in the inert classes, otherwise
+    the two-term sum over the translations by t(p) and its inverse.  The
+    left side is computed honestly from a series at precision
+    p * precision."""
+    shifts = ()
+    if p % 8 not in INERT_CLASSES[c]:
+        law = CompositionLaw(n, c)
+        tp = t_of_prime(p, n, c)
+        shifts = (tp, law.inverse(tp))
+    for t in range((1 << n) // 2 + 1):
         lhs = hecke(p, theta_series(t, n, c, p * precision))
-        if lhs != hecke_theta_rhs(p, t, n, c, precision):
+        rhs = F2Series(0, precision)
+        for s in shifts:
+            rhs = rhs + theta_series(law.compose(t, s), n, c, precision)
+        if lhs != rhs:
             return False
     return True
 
@@ -206,17 +212,21 @@ def verify_theta_identities(n: int, c: int, precision: int) -> bool:
     return True
 
 
-def verify_span_equality(n: int, c: int, table) -> bool:
+def verify_span_equality(n: int, c: int) -> bool:
     """Rank check of the span statement: the level-n theta family spans the
     same subspace as m(a,0), 0 <= a < 2^(n-1) (form parameter 2), resp.
-    m(0,b) (form parameter 4)."""
+    m(0,b) (form parameter 4).  The family is expanded at twice
+    `theta_level`, so the check also shows that no member reaches past
+    that level."""
     _validate_c(c)
     half = 1 << (n - 1)
     indices = [(a, 0) for a in range(half)] if c == 2 else [(0, b) for b in range(half)]
+    level = theta_level(n, c)
+    table = MBasis()
+    table.ensure_level(level)
     m_rows = [table.element(*ab).coords for ab in indices]
-    level = table.level
     theta_rows = [
-        theta_coords(t, n, c, level).coords for t in range(half + 1)
+        theta_coords(t, n, c, 2 * level).coords for t in range(half + 1)
     ]
     r_m = rank(m_rows)
     r_t = rank(theta_rows)
@@ -239,7 +249,7 @@ def representable_mask(c: int, precision: int) -> int:
     return bits
 
 
-def verify_kernel_characterization(n_level: int, c: int, precision: int, table) -> bool:
+def verify_kernel_characterization(n_level: int, c: int, precision: int) -> bool:
     """The kernel of T_5 (form parameter 2) resp. T_3 (form parameter 4)
     on the level-n_level space: every kernel vector has q-support inside
     the representable integers and lies in the span of a single
@@ -252,11 +262,10 @@ def verify_kernel_characterization(n_level: int, c: int, precision: int, table) 
         if DeltaCoords(v, n_level).to_series(precision).bits & ~mask:
             return False
     for depth in range(2, 9):
-        half = 1 << (depth - 1)
-        table.ensure(*((half - 1, 0) if c == 2 else (0, half - 1)))
-        level = table.level
+        level = theta_level(depth, c)
         span = Span(
-            theta_coords(t, depth, c, level).coords for t in range(half)
+            theta_coords(t, depth, c, level).coords
+            for t in range(1 << (depth - 1))
         )
         if all(span.contains(v) for v in basis):
             return True
@@ -271,7 +280,7 @@ def verify_composition_group(n: int, c: int) -> bool:
     ordered pair, then * is addition mod 2^n carried over by phi, so the
     identity, commutativity and associativity all follow.  Each row
     phi(k)*phi(.) is built and compared on its own, so memory stays O(2^n).
-    Last, the inverse that `hecke_theta_rhs` uses is checked directly.
+    Last, the inverse that `verify_hecke_on_theta` uses is checked directly.
     """
     law = CompositionLaw(n, c)
     m = law.modulus

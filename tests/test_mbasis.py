@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckemod2 import mbasis, spaces
+from heckemod2 import checks, mbasis, spaces
 from heckemod2.gf2 import GF2Matrix, LinearSolver, rank
 from heckemod2.mbasis import (LevelExhausted, MBasis, code_exponent, code_of,
                               degree_level, stacked_kernel_is_trivial)
@@ -88,6 +88,33 @@ def test_uniqueness_certificate_against_solver():
                 == (LinearSolver(rows, n).kernel_dimension == 0))
 
 
+def test_structure_suite_certifies_uniqueness_at_fixed_levels(monkeypatch):
+    """The m-basis-structure check certifies levels 8, 16 and 256 on its
+    own, whichever checks ran before it."""
+    levels = []
+
+    def recording(t3, t5):
+        levels.append(len(t3))
+        return stacked_kernel_is_trivial(t3, t5)
+    monkeypatch.setattr(checks, "stacked_kernel_is_trivial", recording)
+    assert checks.check_structure_suite().passed
+    assert levels == [8, 16, 256]
+
+
+def test_m_table_check_builds_one_level(monkeypatch):
+    """check_m_table asks for the level of m(0,8), its deepest entry,
+    once up front, instead of growing one power family at a time."""
+    levels = []
+    grow = MBasis._grow
+
+    def recording(self, level):
+        grow(self, level)
+        levels.append(self.level)
+    monkeypatch.setattr(MBasis, "_grow", recording)
+    assert checks.check_m_table().passed
+    assert levels == [129]
+
+
 # -- back-substitution --------------------------------------------------------------
 
 
@@ -99,7 +126,8 @@ def test_back_substitution_matches_stacked_solver(n):
     solution, with the solver fed its own earlier solutions."""
     rows = _rows(hecke_matrix(3, n)) + _rows(hecke_matrix(5, n)) + [1]
     solver = LinearSolver(rows, n)
-    table = MBasis(start_level=n, level_cap=n)
+    table = MBasis()
+    table.ensure_level(n)
     oracle = {}
     for i in range(n):  # parents have smaller codes, so come first
         a, b = code_of(2 * i + 1)
@@ -375,8 +403,9 @@ def test_witness_rejects_zero(mtable):
 # -- growth -------------------------------------------------------------------------
 
 
-def test_level_cap_gives_clean_failure():
-    small = MBasis(start_level=2, level_cap=4)
+def test_level_cap_gives_clean_failure(monkeypatch):
+    monkeypatch.setattr(mbasis, "LEVEL_CAP", 4)
+    small = MBasis()
     with pytest.raises(LevelExhausted):
         small.ensure(0, 2)  # m(0,2) = delta^17 needs level 9
 
@@ -400,8 +429,9 @@ def test_level_over_cap_fails_before_building(monkeypatch):
     assert table.level == 0
 
 
-def test_growth_at_least_doubles_and_respects_the_cap():
-    table = MBasis(start_level=2, level_cap=40)
+def test_growth_at_least_doubles_and_respects_the_cap(monkeypatch):
+    monkeypatch.setattr(mbasis, "LEVEL_CAP", 40)
+    table = MBasis()
     table.ensure_level(3)
     assert table.level == 3
     table.ensure_level(4)
@@ -413,8 +443,9 @@ def test_growth_at_least_doubles_and_respects_the_cap():
 
 
 def test_entries_survive_growth():
-    table = MBasis(start_level=2)
+    table = MBasis()
     assert table.element(1, 0).support_exponents() == (3,)
+    assert table.level == 2
     table.ensure(0, 2)  # forces growth to level 9
     assert table.level >= 9
     assert table.element(1, 0).support_exponents() == (3,)

@@ -10,7 +10,8 @@ from heckemod2 import theta
 from heckemod2.series import F2Series, delta, delta_pow, hecke
 from heckemod2.theta import (CompositionLaw, NoRepresentation, ThetaIndex,
                              representable_mask, t_of_prime, theta_coords,
-                             theta_series, verify_composition_group,
+                             theta_level, theta_series,
+                             verify_composition_group,
                              verify_hecke_on_theta,
                              verify_kernel_characterization,
                              verify_span_equality, verify_theta_identities)
@@ -283,14 +284,26 @@ def test_special_relation():
 # -- spans and kernels -----------------------------------------------------------------
 
 
-def test_span_equalities(mtable):
+def test_span_equalities():
     for n in (1, 2, 3, 4):
-        assert verify_span_equality(n, 2, mtable), n
+        assert verify_span_equality(n, 2), n
     for n in (1, 2, 3):
-        assert verify_span_equality(n, 4, mtable), n
+        assert verify_span_equality(n, 4), n
 
 
-def test_span_example_level_2(mtable):
+@pytest.mark.parametrize("c", [2, 4])
+def test_theta_level_is_tight(c):
+    """Expanded at twice its level, every member of the index-n family
+    lies in theta_level(n, c), and some member reaches its top delta
+    power."""
+    for n in range(1, 7):
+        level = theta_level(n, c)
+        top = max(theta_coords(t, n, c, 2 * level).coords.bit_length()
+                  for t in range((1 << (n - 1)) + 1))
+        assert top == level, (n, c)
+
+
+def test_span_example_level_2():
     # theta family at n=2 spans {delta, delta^3} = span{m(0,0), m(1,0)}
     coords = {theta_coords(t, 2, 2, 8).coords for t in range(3)}
     assert coords == {0b0, 0b1, 0b10}
@@ -307,10 +320,10 @@ def test_representable_mask_small():
     assert {e for e in range(41) if (mask4 >> e) & 1} == want4
 
 
-def test_kernel_characterization(mtable):
+def test_kernel_characterization():
     for c in (2, 4):
-        assert verify_kernel_characterization(4, c, 1024, mtable)
-        assert verify_kernel_characterization(8, c, 1024, mtable)
+        assert verify_kernel_characterization(4, c, 1024)
+        assert verify_kernel_characterization(8, c, 1024)
 
 
 def test_theta_support_representable():

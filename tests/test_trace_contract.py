@@ -1,0 +1,42 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+`perfbench/tracing.py` binds functions and methods of the package by name
+(`MBasis.ensure_precision`, `MBasis._grow`, `theta.verify_hecke_on_theta`,
+...) and reads attributes such as `MBasis.precision`, `MBasis.level` and
+`hecke_matrix.cache_info`.  A name it cannot find is reported as absent,
+and a traced benchmark run with an absent metric is not accepted.  These
+tests run `perfbench/child.py trace` on commands that reach those names
+and require a clean exit with nothing absent.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MARKER = "PERFBENCH "
+
+
+@pytest.mark.parametrize("argv", [
+    # T_p expansions: precision regrowths, tp_expansion, the delta powers
+    ["tp-table", "--p-max", "50", "--degree", "2", "--format", "csv"],
+    # Hecke matrices for p >= 7 through _hecke_bits and the matrix cache
+    ["verify", "--suite", "algebra"],
+])
+def test_traced_command_has_no_absent_target(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "trace", *argv],
+        capture_output=True, text=True, timeout=300, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = next(line for line in reversed(proc.stderr.splitlines())
+                  if line.startswith(MARKER))
+    trace = json.loads(report[len(MARKER):])["trace"]
+    assert trace["absent"] == []
