@@ -539,19 +539,19 @@ def check_hecke_on_theta(precision: int = 256) -> CheckResult:
     """The Hecke action permutes theta indices through the composition law
     (split primes) or kills the family (inert primes), for all p <= 100 and
     n <= 4; plus the closed-form special relations."""
-    bad = []
-    for p in odd_primes(100):
-        for c in (2, 4):
-            for n in range(1, 5):
-                if not verify_hecke_on_theta(p, n, c, precision):
-                    bad.append(f"p={p} n={n} c={c}")
+    odd = odd_primes(100)
+    failed = {(n, c): set(verify_hecke_on_theta(odd, n, c, precision))
+              for c in (2, 4) for n in range(1, 5)}
+    bad = [f"p={p} n={n} c={c}" for p in odd for c in (2, 4)
+           for n in range(1, 5) if p in failed[n, c]]
     for c, primes in SPECIAL_RELATION_PRIMES.items():
         for n in (1, 2, 3):
+            family = [theta_series(t, n, c, 2 * precision)
+                      for t in range(1 << n)]
             exponent = 1 + (1 << (2 * n - 1)) if c == 2 else 1 + (1 << (2 * n))
             for p in primes:
                 tp = t_of_prime(p, n, c)
-                lhs = theta_series(((1 << (n - 1)) - tp) % (1 << n), n, c,
-                                   2 * precision)
+                lhs = family[((1 << (n - 1)) - tp) % (1 << n)]
                 rhs = hecke(p, delta_pow(exponent, p * 2 * precision))
                 if lhs != rhs:
                     bad.append(f"special relation p={p} n={n} c={c}")
@@ -564,23 +564,26 @@ def check_hecke_on_theta(precision: int = 256) -> CheckResult:
 @_timed
 def check_composition_compatibility(precision: int = 128) -> CheckResult:
     """Two Hecke operators acting on a theta series compose through the
-    law: T_p T_q theta equals the four-term index sum."""
+    law: T_p T_q theta equals the four-term index sum.  Each family is
+    built once at the deepest precision, max(primes)^2 * precision, and
+    truncated to p * q * precision for the pair (p, q)."""
     bad = []
     for c, primes in ((2, (3, 11, 17)), (4, (5, 13, 17))):
         for n in (1, 2, 3):
             law = CompositionLaw(n, c)
             m = law.modulus
+            family = [theta_series(t, n, c, max(primes) ** 2 * precision).bits
+                      for t in range(m)]
             for p in primes:
                 for q in primes:
                     tp, tq = t_of_prime(p, n, c), t_of_prime(q, n, c)
                     for t in range(m // 2 + 1):
-                        lhs = hecke(p, hecke(q, theta_series(t, n, c,
-                                                             p * q * precision)))
+                        lhs = hecke(p, hecke(q, F2Series(family[t],
+                                                         p * q * precision)))
                         bits = 0
                         for sp in (tp, law.inverse(tp)):
                             for sq in (tq, law.inverse(tq)):
-                                idx = law.compose(law.compose(t, sp), sq)
-                                bits ^= theta_series(idx, n, c, precision).bits
+                                bits ^= family[law.compose(law.compose(t, sp), sq)]
                         if lhs != F2Series(bits, precision):
                             bad.append(f"p={p} q={q} t={t} n={n} c={c}")
     return CheckResult(

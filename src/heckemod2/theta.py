@@ -164,25 +164,34 @@ def t_of_prime(p: int, n: int, c: int) -> int:
     return values.pop()
 
 
-def verify_hecke_on_theta(p: int, n: int, c: int, precision: int) -> bool:
-    """Check T_p theta_(t,n) for every canonical t against the
-    composition-law prediction: zero for p in the inert classes, otherwise
-    the two-term sum over the translations by t(p) and its inverse.  The
-    left side is computed honestly from a series at precision
-    p * precision."""
-    shifts = ()
-    if p % 8 not in INERT_CLASSES[c]:
-        law = CompositionLaw(n, c)
-        tp = t_of_prime(p, n, c)
-        shifts = (tp, law.inverse(tp))
-    for t in range((1 << n) // 2 + 1):
-        lhs = hecke(p, theta_series(t, n, c, p * precision))
-        rhs = F2Series(0, precision)
-        for s in shifts:
-            rhs = rhs + theta_series(law.compose(t, s), n, c, precision)
-        if lhs != rhs:
-            return False
-    return True
+def verify_hecke_on_theta(primes, n: int, c: int, precision: int) -> list[int]:
+    """Check T_p theta_(t,n) for every canonical t and every p in `primes`
+    against the composition-law prediction: zero for p in the inert
+    classes, otherwise the two-term sum over the translations by t(p) and
+    its inverse.  Returns the primes that fail, in the order given.
+
+    The family is built once, at the deepest precision any prime needs;
+    for each p the left side is T_p of its truncation to p * precision,
+    which is the honest q-expansion at that precision."""
+    primes = list(primes)
+    law = CompositionLaw(n, c)
+    family = [theta_series(t, n, c, max(primes) * precision).bits
+              for t in range(law.modulus)]
+    failed = []
+    for p in primes:
+        shifts = ()
+        if p % 8 not in INERT_CLASSES[c]:
+            tp = t_of_prime(p, n, c)
+            shifts = (tp, law.inverse(tp))
+        for t in range(law.modulus // 2 + 1):
+            lhs = hecke(p, F2Series(family[t], p * precision))
+            rhs = 0
+            for s in shifts:
+                rhs ^= family[law.compose(t, s)]
+            if lhs != F2Series(rhs, precision):
+                failed.append(p)
+                break
+    return failed
 
 
 def verify_theta_identities(n: int, c: int, precision: int) -> bool:
@@ -201,9 +210,10 @@ def verify_theta_identities(n: int, c: int, precision: int) -> bool:
             return False
     if not family[modulus // 2].is_zero:
         return False
+    half = modulus // 2
+    down = [theta_series(t, n - 1, c, precision) for t in range(half)]
     for t in range(modulus):
-        down = theta_series(t, n - 1, c, precision)
-        if family[t] + family[(modulus // 2 - t) % modulus] != down:
+        if family[t] + family[(half - t) % modulus] != down[t % half]:
             return False
     if n >= 2:
         e = 1 + (1 << (2 * n - 3)) if c == 2 else 1 + (1 << (2 * n - 2))
@@ -278,9 +288,12 @@ def verify_composition_group(n: int, c: int) -> bool:
     phi(k) = 1*1*...*1 (k factors) is walked by m - 1 steps of x -> x*1.
     If phi is a bijection of Z/2^n and phi(k)*phi(l) = phi(k+l) for every
     ordered pair, then * is addition mod 2^n carried over by phi, so the
-    identity, commutativity and associativity all follow.  Each row
-    phi(k)*phi(.) is built and compared on its own, so memory stays O(2^n).
-    Last, the inverse that `verify_hecke_on_theta` uses is checked directly.
+    identity, commutativity and associativity all follow.  The formula
+    (x+y) * inv(1-cxy) is symmetric in x and y whatever the inverse table
+    holds, so the pairs l >= k cover every ordered pair.  Each row
+    phi(k)*phi(l), l >= k, is built and compared on its own, so memory
+    stays O(2^n).  Last, the inverse that `verify_hecke_on_theta` uses is
+    checked directly.
     """
     law = CompositionLaw(n, c)
     m = law.modulus
@@ -293,9 +306,10 @@ def verify_composition_group(n: int, c: int) -> bool:
         phi.append(((x + 1) * inv_odd[(1 - c * x) % m]) % m)
     if sorted(phi) != list(range(m)):
         return False
+    twice = phi + phi
     for k, x in enumerate(phi):
         cx = c * x
-        row = [((x + y) * inv_odd[(1 - cx * y) % m]) % m for y in phi]
-        if row != phi[k:] + phi[:k]:
+        row = [((x + y) * inv_odd[(1 - cx * y) % m]) % m for y in phi[k:]]
+        if row != twice[2 * k:k + m]:
             return False
     return all(law.compose(x, law.inverse(x)) == 0 for x in range(m))

@@ -4,10 +4,11 @@ The digests were recorded from the tree before the linear-time Hecke
 kernel and the shared delta-power table went in (the `m-table --degree 32`
 one before the m-basis moved to its closed-form level, the `--degree 63`
 one, the deepest table under the level cap, before its entries were
-back-substituted instead of solved as a stacked system), so any change to
-the bytes the CLI prints shows up here.  `verify` used to print each check's
-wall time on stdout; its digest was taken with those `  (N.Ns)` suffixes
-removed, which is exactly what it prints now.
+back-substituted instead of solved as a stacked system, the `verify --suite
+theta --precision 2048` one before the theta families were built once per
+index), so any change to the bytes the CLI prints shows up here.  `verify`
+used to print each check's wall time on stdout; its digest was taken with
+those `  (N.Ns)` suffixes removed, which is exactly what it prints now.
 """
 
 import hashlib
@@ -40,6 +41,10 @@ GOLDEN = [
     (["theta-table", "--c", "4", "--n-max", "5", "--precision", "341",
       "--format", "csv"], None,
      "a47adc5a7c706baaa721fafa4f26c7887b5a4e63f31d310ce513a36dca1f3fae"),
+    # the precision override of run_suite: hecke-on-theta at 128,
+    # compatibility at 64
+    (["verify", "--suite", "theta", "--precision", "2048"], None,
+     "0911fd1d9c08ed3007b209187f65379ddbc8fca2e17f5c0b81bd1fb7c60c1b16"),
 ]
 
 

@@ -6,7 +6,8 @@ from math import isqrt
 
 import pytest
 
-from heckemod2 import theta
+from heckemod2 import checks, theta
+from heckemod2.primes import odd_primes
 from heckemod2.series import F2Series, delta, delta_pow, hecke
 from heckemod2.theta import (CompositionLaw, NoRepresentation, ThetaIndex,
                              representable_mask, t_of_prime, theta_coords,
@@ -262,9 +263,104 @@ def test_inert_primes_kill_family():
 
 
 def test_verify_hecke_on_theta_split_primes():
-    for p, c in ((3, 2), (11, 2), (17, 2), (17, 4), (5, 4), (13, 4)):
+    for c, primes in ((2, (3, 11, 17)), (4, (5, 13, 17))):
         for n in (1, 2, 3):
-            assert verify_hecke_on_theta(p, n, c, 128), (p, n, c)
+            assert verify_hecke_on_theta(primes, n, c, 128) == [], (n, c)
+
+
+def hecke_on_theta_reference(p, n, c, precision):
+    """One prime at a time, as the verifier once ran: every series is built
+    afresh, the left side at p * precision and each right-hand term at
+    precision."""
+    shifts = ()
+    if p % 8 not in theta.INERT_CLASSES[c]:
+        law = CompositionLaw(n, c)
+        tp = theta.t_of_prime(p, n, c)
+        shifts = (tp, law.inverse(tp))
+    for t in range((1 << n) // 2 + 1):
+        lhs = hecke(p, theta_series(t, n, c, p * precision))
+        rhs = F2Series(0, precision)
+        for s in shifts:
+            rhs = rhs + theta_series(law.compose(t, s), n, c, precision)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def shift_translations(monkeypatch, module):
+    """Replace t(p) by t(p) + 1 in `module`: a wrong law for every prime."""
+    true = theta.t_of_prime
+    monkeypatch.setattr(module, "t_of_prime",
+                        lambda p, n, c: (true(p, n, c) + 1) % (1 << n))
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_batched_hecke_on_theta_matches_reference(corrupt, monkeypatch):
+    """The family built once at the deepest precision rejects exactly the
+    primes that the per-prime reference rejects, on the true law and on a
+    shifted one; the shifted law must be rejected somewhere."""
+    if corrupt:
+        shift_translations(monkeypatch, theta)
+    primes = odd_primes(50)
+    rejected = 0
+    for c in (2, 4):
+        for n in (1, 2, 3):
+            want = [p for p in primes
+                    if not hecke_on_theta_reference(p, n, c, 64)]
+            assert verify_hecke_on_theta(primes, n, c, 64) == want, (n, c)
+            rejected += len([p for p in want
+                             if p % 8 not in theta.INERT_CLASSES[c]])
+    assert (rejected > 0) == corrupt
+
+
+def test_hecke_on_theta_failure_details(monkeypatch):
+    """With a shifted law the check names the failures in the order of the
+    per-prime loop: p outer, then c, then n."""
+    shift_translations(monkeypatch, theta)
+    want = "; ".join(
+        f"p={p} n={n} c={c}"
+        for p in odd_primes(100) for c in (2, 4) for n in range(1, 5)
+        if not hecke_on_theta_reference(p, n, c, 64))
+    result = checks.check_hecke_on_theta(64)
+    assert want and not result.passed
+    assert result.details == want
+
+
+def composition_compatibility_reference(precision):
+    """The four-term sums with every series built afresh: the left side at
+    p * q * precision, each right-hand term at precision."""
+    bad = []
+    for c, primes in ((2, (3, 11, 17)), (4, (5, 13, 17))):
+        for n in (1, 2, 3):
+            law = CompositionLaw(n, c)
+            for p in primes:
+                for q in primes:
+                    tp, tq = checks.t_of_prime(p, n, c), checks.t_of_prime(q, n, c)
+                    for t in range(law.modulus // 2 + 1):
+                        lhs = hecke(p, hecke(q, theta_series(
+                            t, n, c, p * q * precision)))
+                        rhs = F2Series(0, precision)
+                        for sp in (tp, law.inverse(tp)):
+                            for sq in (tq, law.inverse(tq)):
+                                idx = law.compose(law.compose(t, sp), sq)
+                                rhs = rhs + theta_series(idx, n, c, precision)
+                        if lhs != rhs:
+                            bad.append(f"p={p} q={q} t={t} n={n} c={c}")
+    return "; ".join(bad)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_composition_compatibility_matches_reference(corrupt, monkeypatch):
+    """The truncated families fail on the shifted law, and name the same
+    (p, q, t, n, c) as the reference built series by series."""
+    if corrupt:
+        shift_translations(monkeypatch, checks)
+    want = composition_compatibility_reference(64)
+    assert bool(want) == corrupt
+    result = checks.check_composition_compatibility(64)
+    assert result.passed == (not want), result.details
+    if want:
+        assert result.details == want
 
 
 def test_special_relation():

@@ -26,6 +26,8 @@ MARKER = "PERFBENCH "
     ["tp-table", "--p-max", "50", "--degree", "2", "--format", "csv"],
     # Hecke matrices for p >= 7 through _hecke_bits and the matrix cache
     ["verify", "--suite", "algebra"],
+    # theta_series, verify_hecke_on_theta and verify_composition_group
+    ["verify", "--suite", "theta"],
 ])
 def test_traced_command_has_no_absent_target(argv):
     env = dict(os.environ)
