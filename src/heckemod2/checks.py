@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .gf2 import GF2Matrix, lowest_bit, rank
-from .mbasis import MBasis, code_level, stacked_kernel_is_trivial
+from .mbasis import (MBasis, code_level, frobenian_report,
+                     odd_b_representations, parity_pattern_holds,
+                     stacked_kernel_is_trivial)
 from .primes import odd_prime_factors, odd_primes
 from .series import F2Series, delta_pow, hecke
 from .spaces import (AlgebraSpan, DeltaCoords, check_divisibility,
@@ -436,14 +438,16 @@ def check_tp_tables() -> CheckResult:
 def check_frobenian() -> CheckResult:
     """For every odd prime below 1000: the parity class of every monomial
     of T_p, through degree 8, is determined by p mod 8, and the five
-    explicit coefficient criteria hold (congruences and representation
-    searches)."""
-    table = MBasis()
+    explicit coefficient criteria hold (congruences, and representations
+    marked by one sieve)."""
+    bound = 999
+    rep8 = odd_b_representations(bound, 8)
+    rep16 = odd_b_representations(bound, 16)
     bad = []
-    for p in odd_primes(999):
-        if not table.parity_pattern_ok(p, 8):
+    for p, monomials in MBasis().tp_table(bound, 8).items():
+        if not parity_pattern_holds(p, monomials):
             bad.append(f"parity pattern fails for {p}")
-        report = table.frobenian_criteria(p)
+        report = frobenian_report(p, monomials, rep8, rep16)
         if not report.all_ok:
             bad.append(f"coefficient criteria fail for {p}: {report}")
     return CheckResult(
@@ -461,13 +465,12 @@ def check_aij_consistency() -> CheckResult:
     level = code_level(5, 5)
     coords = table.element(5, 5).coords
     bad = []
-    for p in odd_primes(50):
+    for p, direct in table.tp_table(50, 5).items():
         image = hecke_matrix(p, level).apply(coords)
         support = (table.coefficients(DeltaCoords(image, level))
                    if image else frozenset())
         via_shift = {(5 - i, 5 - j) for i, j in support if i <= 5 and j <= 5}
         via_shift = {(i, j) for i, j in via_shift if i + j <= 5}
-        direct = {ij for ij in table.tp_expansion(p, 5)}
         if via_shift != direct:
             bad.append(f"p={p}")
     return CheckResult(

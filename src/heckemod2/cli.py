@@ -13,7 +13,6 @@ import sys
 
 from .checks import SUITES, run_suite
 from .mbasis import LEVEL_CAP, LevelExhausted, MBasis
-from .primes import odd_primes
 from .spaces import DeltaCoords, NotInSpan, expand_in_delta_basis
 from .theta import theta_coords, theta_level
 
@@ -63,14 +62,21 @@ def cmd_tp_table(args) -> int:
         return _usage_error("--p-max must be at least 3")
     if args.degree < 0:
         return _usage_error("--degree must be >= 0")
-    table = MBasis()
-    table.ensure_degree(args.degree)
-    for p in odd_primes(args.p_max):
-        monomials = _graded(table.tp_expansion(p, args.degree))
+    # each a_ij(p) is a frobenian function of p, so at a fixed degree few
+    # distinct expansions recur over many primes: format each one once
+    bodies = {}
+    for p, monomials in MBasis().tp_table(args.p_max, args.degree).items():
+        body = bodies.get(monomials)
+        if body is None:
+            graded = _graded(monomials)
+            if args.format == "csv":
+                body = "".join(f",{i} {j}" for i, j in graded)
+            else:
+                body = " + ".join(_monomial(i, j) for i, j in graded) or "0"
+            bodies[monomials] = body
         if args.format == "csv":
-            print(",".join([str(p)] + [f"{i} {j}" for i, j in monomials]))
+            print(f"{p}{body}")
         else:
-            body = " + ".join(_monomial(i, j) for i, j in monomials) or "0"
             print(f"T_{p} = {body} + O(deg {args.degree + 1})")
     return 0
 

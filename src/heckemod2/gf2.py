@@ -45,6 +45,13 @@ def spread_bits(x: int) -> int:
     return int("0".join(format(x, "b")), 2)
 
 
+def bit_flags(x: int, width: int) -> bytes:
+    """Bits 0..width-1 of x >= 0 as the bytes 0 and 1: flags[i] is bit i."""
+    top = 1 << width  # a sentinel bit, so the digits have exactly width + 1
+    digits = format(x & (top - 1) | top, "b")
+    return digits[:0:-1].encode().translate(_BIT_FLAGS)
+
+
 def apply_columns(cols: Sequence[int], v: int) -> int:
     """Matrix-vector product over GF(2) from the columns: the XOR of
     cols[i] over the set bits i of v."""

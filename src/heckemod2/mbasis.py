@@ -13,16 +13,17 @@ checked independent there), so the element found is the only one.
 
 The same table drives the expansion of every T_p as a series in x = T_3
 and y = T_5: the coefficient of x^i y^j in T_p is the q^p coefficient of
-m(i,j).
+m(i,j), so one q-expansion of each m(i,j) gives T_p at every prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
-from .gf2 import apply_columns, even_bits, rank, spread_bits
-from .primes import is_odd_prime
+from .gf2 import apply_columns, bit_flags, even_bits, rank, spread_bits
+from .primes import is_odd_prime, odd_primes
 from .series import F2Series, _odd_delta_power_bits
 from .spaces import DeltaCoords, _greedy_expand, hecke_matrix
 
@@ -111,16 +112,37 @@ def stacked_kernel_is_trivial(t3: tuple[int, ...], t5: tuple[int, ...]) -> bool:
     return rank(stacked) == n
 
 
-def _odd_b_representation(p: int, c: int) -> bool:
-    """Is p = a^2 + c*b^2 with integers a, b and b odd?"""
-    b = 1
-    while c * b * b <= p:
-        r = p - c * b * b
-        s = isqrt(r)
-        if s * s == r:
-            return True
-        b += 2
-    return False
+def odd_b_representations(bound: int, c: int) -> bytearray:
+    """flags[n] = 1 iff n = a^2 + c*b^2 with integers a, b and b odd, for
+    0 <= n <= bound: one pass over the odd b and the squares."""
+    flags = bytearray(bound + 1)
+    squares = [a * a for a in range(isqrt(bound) + 1)]
+    for b in range(1, isqrt(bound // c) + 1, 2):
+        base = c * b * b
+        for s in squares[:isqrt(bound - base) + 1]:
+            flags[base + s] = 1
+    return flags
+
+
+def parity_pattern_holds(p: int, monomials) -> bool:
+    """Does every monomial x^i y^j of T_p have the parity class
+    (i mod 2, j mod 2) forced by p mod 8?"""
+    want = PARITY_PATTERN[p % 8]
+    return all((i % 2, j % 2) == want for i, j in monomials)
+
+
+def frobenian_report(p: int, monomials, rep8: bytearray, rep16: bytearray
+                     ) -> FrobenianReport:
+    """The five explicit criteria for one odd prime p, read off the
+    monomials of T_p through degree 2 or more; rep8 and rep16 are the
+    `odd_b_representations` flags for c = 8 and 16, through at least p."""
+    return FrobenianReport(
+        a10=((1, 0) in monomials) == (p % 8 == 3),
+        a01=((0, 1) in monomials) == (p % 8 == 5),
+        a11=((1, 1) in monomials) == (p % 16 == 7),
+        a20=((2, 0) in monomials) == rep8[p],
+        a02=((0, 2) in monomials) == rep16[p],
+    )
 
 
 class MBasis:
@@ -352,42 +374,58 @@ class MBasis:
 
     # -- T_p as a series in x = T_3, y = T_5 ---------------------------------
 
-    def tp_expansion(self, p: int, degree: int) -> frozenset[MIndex]:
-        """Monomials x^i y^j with coefficient 1 in T_p, up to total degree.
+    def _expansions(self, p_max: int, degree: int):
+        """Yield (i, j) and the q-expansion of m(i,j) (coefficient of q^e
+        at bit e, correct through at least p_max) for every i + j <= degree,
+        one expansion at a time."""
+        self.ensure_degree(degree)
+        self.ensure_precision(p_max)
+        pows = _odd_delta_power_bits(degree_level(degree), self.precision)
+        for ij, coords in self._entries.items():
+            if ij[0] + ij[1] <= degree:
+                yield ij, apply_columns(pows, coords)
 
-        The coefficient of x^i y^j is the q^p coefficient of m(i,j)."""
+    def tp_table(self, p_max: int, degree: int) -> dict[int, frozenset[MIndex]]:
+        """The monomials x^i y^j with coefficient 1 in T_p, up to total
+        degree, for every odd prime p <= p_max, in ascending order of p.
+
+        The coefficient of x^i y^j is the q^p coefficient of m(i,j), so each
+        m(i,j) is expanded once, through q^p_max, and read at every prime
+        from the sieve."""
+        primes = odd_primes(p_max)
+        # bit k of masks[p] is the coefficient of the k-th monomial in T_p
+        masks = dict.fromkeys(primes, 0)
+        monomials = []
+        for k, (ij, bits) in enumerate(self._expansions(p_max, degree)):
+            monomials.append(ij)
+            flags = bit_flags(bits, p_max + 1)
+            for p in compress(primes, map(flags.__getitem__, primes)):
+                masks[p] |= 1 << k
+        # few distinct T_p recur over many primes at a fixed degree, so
+        # each distinct one is built once and shared
+        width = len(monomials)
+        shared = {mask: frozenset(compress(monomials, bit_flags(mask, width)))
+                  for mask in set(masks.values())}
+        return {p: shared[mask] for p, mask in masks.items()}
+
+    def tp_expansion(self, p: int, degree: int) -> frozenset[MIndex]:
+        """Monomials x^i y^j with coefficient 1 in T_p, up to total degree:
+        one prime of `tp_table`."""
         if not is_odd_prime(p):
             raise ValueError(f"expected an odd prime, got {p}")
-        self.ensure_degree(degree)
-        self.ensure_precision(p)
-        probe = 0
-        for i, bits in enumerate(_odd_delta_power_bits(self._level,
-                                                       self.precision)):
-            probe |= ((bits >> p) & 1) << i
-        return frozenset(
-            (i, j)
-            for (i, j), coords in self._entries.items()
-            if i + j <= degree and (coords & probe).bit_count() & 1
-        )
+        return frozenset(ij for ij, bits in self._expansions(p, degree)
+                         if bits >> p & 1)
 
     def parity_pattern_ok(self, p: int, degree: int) -> bool:
         """Do all monomials of T_p up to the given total degree have the
         parity class (i mod 2, j mod 2) forced by p mod 8?"""
-        want = PARITY_PATTERN[p % 8]
-        return all(
-            (i % 2, j % 2) == want for i, j in self.tp_expansion(p, degree)
-        )
+        return parity_pattern_holds(p, self.tp_expansion(p, degree))
 
     def frobenian_criteria(self, p: int) -> FrobenianReport:
         """Check the five explicit coefficient criteria for one odd prime."""
-        exp = self.tp_expansion(p, 2)
-        return FrobenianReport(
-            a10=((1, 0) in exp) == (p % 8 == 3),
-            a01=((0, 1) in exp) == (p % 8 == 5),
-            a11=((1, 1) in exp) == (p % 16 == 7),
-            a20=((2, 0) in exp) == _odd_b_representation(p, 8),
-            a02=((0, 2) in exp) == _odd_b_representation(p, 16),
-        )
+        return frobenian_report(p, self.tp_expansion(p, 2),
+                                odd_b_representations(p, 8),
+                                odd_b_representations(p, 16))
 
     # -- injectivity witnesses ------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 
 
@@ -9,12 +10,7 @@ def is_odd_prime(p: int) -> bool:
     """True iff p is a prime other than 2."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d <= isqrt(p):
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return all(p % d for d in range(3, isqrt(p) + 1, 2))
 
 
 def odd_primes(bound: int) -> list[int]:
@@ -26,7 +22,7 @@ def odd_primes(bound: int) -> list[int]:
     for d in range(2, isqrt(bound) + 1):
         if sieve[d]:
             sieve[d * d :: d] = b"\x00" * len(sieve[d * d :: d])
-    return [p for p in range(3, bound + 1, 2) if sieve[p]]
+    return list(compress(range(3, bound + 1, 2), sieve[3::2]))
 
 
 def odd_prime_factors(m: int) -> list[int]:

@@ -6,9 +6,11 @@ one before the m-basis moved to its closed-form level, the `--degree 63`
 one, the deepest table under the level cap, before its entries were
 back-substituted instead of solved as a stacked system, the `verify --suite
 theta --precision 2048` one before the theta families were built once per
-index), so any change to the bytes the CLI prints shows up here.  `verify`
-used to print each check's wall time on stdout; its digest was taken with
-those `  (N.Ns)` suffixes removed, which is exactly what it prints now.
+index, and the two wide `tp-table` ones before every T_p was read off one
+q-expansion of each m(i,j) instead of one probe per prime), so any change
+to the bytes the CLI prints shows up here.  `verify` used to print each
+check's wall time on stdout; its digest was taken with those `  (N.Ns)`
+suffixes removed, which is exactly what it prints now.
 """
 
 import hashlib
@@ -41,6 +43,11 @@ GOLDEN = [
     (["theta-table", "--c", "4", "--n-max", "5", "--precision", "341",
       "--format", "csv"], None,
      "a47adc5a7c706baaa721fafa4f26c7887b5a4e63f31d310ce513a36dca1f3fae"),
+    # thousands of primes at degree 2, and the degree-8 table for p <= 2000
+    (["tp-table", "--p-max", "20011", "--degree", "2", "--format", "csv"], None,
+     "66407567c42f26dc5a5817109f84389c82c7a204451d6aabc621676e60b6ada4"),
+    (["tp-table", "--p-max", "2000", "--degree", "8"], None,
+     "0af77fb1af7246e58abe928c4bc14256b34a8789b24a19c0a893601a16010cc1"),
     # the precision override of run_suite: hecke-on-theta at 128,
     # compatibility at 64
     (["verify", "--suite", "theta", "--precision", "2048"], None,

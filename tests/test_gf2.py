@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heckemod2.gf2 import GF2Matrix, LinearSolver, Span, iter_bits, rank
+from heckemod2.gf2 import (GF2Matrix, LinearSolver, Span, bit_flags,
+                           iter_bits, rank)
 from heckemod2.spaces import kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heckemod2"
@@ -134,6 +135,11 @@ def test_matrix_mul_against_entrywise():
 ))
 def test_iter_bits_against_bit_scan(x):
     assert list(iter_bits(x)) == [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+@given(st.integers(0, 1 << 300), st.integers(0, 400))
+def test_bit_flags_against_bit_scan(x, width):
+    assert bit_flags(x, width) == bytes(x >> i & 1 for i in range(width))
 
 
 def test_lowest_bit_idiom_only_in_gf2_helpers():

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckemod2 import checks, mbasis, spaces
+from heckemod2 import checks, mbasis, series, spaces
 from heckemod2.gf2 import GF2Matrix, LinearSolver, rank
 from heckemod2.mbasis import (LevelExhausted, MBasis, code_exponent, code_of,
-                              degree_level, stacked_kernel_is_trivial)
-from heckemod2.series import F2Series, delta_pow, hecke
+                              degree_level, frobenian_report,
+                              odd_b_representations, parity_pattern_holds,
+                              stacked_kernel_is_trivial)
+from heckemod2.primes import is_odd_prime, odd_primes
+from heckemod2.series import F2Series, _odd_delta_power_bits, delta_pow, hecke
 from heckemod2.spaces import DeltaCoords, hecke_matrix
 
 # tabulated entries for a+b <= 3
@@ -367,6 +370,14 @@ def _rep_oracle(p, c):
     return out
 
 
+def test_representation_sieve_matches_the_search():
+    for c in (8, 16):
+        flags = odd_b_representations(4999, c)
+        assert len(flags) == 5000
+        for n in range(5000):
+            assert flags[n] == _rep_oracle(n, c), (n, c)
+
+
 def test_frobenian_criteria(mtable):
     assert mtable.frobenian_criteria(3).all_ok       # a10 via 3 = 3 mod 8
     assert mtable.frobenian_criteria(7).all_ok       # a11 via 7 = 7 mod 16
@@ -376,6 +387,67 @@ def test_frobenian_criteria(mtable):
     assert _rep_oracle(17, 8) and report17.a20
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 73, 89, 97):
         assert mtable.frobenian_criteria(p).all_ok, p
+
+
+def tp_expansion_reference(table, p, degree):
+    """T_p through the given degree by one probe per prime: bit i of the
+    probe is the q^p coefficient of delta^(2i+1), so the parity of
+    coords & probe is the q^p coefficient of m(i,j)."""
+    assert is_odd_prime(p)
+    table.ensure_degree(degree)
+    table.ensure_precision(p)
+    probe = 0
+    for i, bits in enumerate(_odd_delta_power_bits(table.level,
+                                                   table.precision)):
+        probe |= ((bits >> p) & 1) << i
+    return frozenset(
+        (i, j)
+        for (i, j), coords in table._entries.items()
+        if i + j <= degree and (coords & probe).bit_count() & 1
+    )
+
+
+@given(st.integers(3, 3000), st.integers(0, 12), st.data())
+@example(3, 0, None)
+@example(17, 12, None)
+@settings(max_examples=12, deadline=None)
+def test_tp_table_matches_the_per_prime_probe(p_max, degree, data):
+    table = MBasis()
+    got = table.tp_table(p_max, degree)
+    assert list(got) == odd_primes(p_max)
+    for p, monomials in got.items():
+        assert monomials == tp_expansion_reference(table, p, degree), p
+    p = max(got) if data is None else data.draw(st.sampled_from(list(got)))
+    assert MBasis().tp_expansion(p, degree) == MBasis().tp_table(p, degree)[p]
+
+
+@pytest.fixture
+def own_delta_powers(monkeypatch):
+    """Give the test its own delta-power table, so powers taken at a large
+    precision do not stay in the shared one for later tests."""
+    monkeypatch.setattr(series, "_powers", [])
+    monkeypatch.setattr(series, "_powers_precision", -1)
+
+
+def test_frobenian_criteria_below_a_million(own_delta_powers):
+    """Nicolas-Serre's five criteria and the parity pattern at degree 2,
+    for every odd prime below 10^6."""
+    bound = 10 ** 6
+    table = MBasis().tp_table(bound, 2)
+    assert len(table) == 78497
+    rep8 = odd_b_representations(bound, 8)
+    rep16 = odd_b_representations(bound, 16)
+    bad = [p for p, monomials in table.items()
+           if not (parity_pattern_holds(p, monomials)
+                   and frobenian_report(p, monomials, rep8, rep16).all_ok)]
+    assert bad == []
+
+
+def test_parity_pattern_through_degree_8_below_200000(own_delta_powers):
+    table = MBasis().tp_table(2 * 10 ** 5, 8)
+    assert len(table) == 17983
+    assert [p for p, monomials in table.items()
+            if not parity_pattern_holds(p, monomials)] == []
 
 
 # -- injectivity witnesses ------------------------------------------------------------------

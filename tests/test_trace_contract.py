@@ -22,8 +22,11 @@ MARKER = "PERFBENCH "
 
 
 @pytest.mark.parametrize("argv", [
-    # T_p expansions: precision regrowths, tp_expansion, the delta powers
+    # the batched T_p table: ensure_precision once, for p_max, and the
+    # delta powers at the working precision
     ["tp-table", "--p-max", "50", "--degree", "2", "--format", "csv"],
+    # the tp checks: tp_expansion for single primes, the batch for the rest
+    ["verify", "--suite", "tp"],
     # Hecke matrices for p >= 7 through _hecke_bits and the matrix cache
     ["verify", "--suite", "algebra"],
     # theta_series, verify_hecke_on_theta and verify_composition_group
