@@ -1,13 +1,15 @@
 """Named verification checks behind the CLI `verify` command and the
 acceptance test suite.
 
-Each check re-derives one theorem-level statement at finite truncation and
-returns a CheckResult; the frozen tables here are the published example
-values the computations must reproduce.
+Each check re-derives one theorem-level statement at finite truncation.
+Its body returns the failures it found and the bound it certifies, and
+`_check` turns that into a named, timed CheckResult; the frozen tables here
+are the published example values the computations must reproduce.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from collections import Counter
@@ -66,8 +68,8 @@ SPECIAL_RELATION_PRIMES = {2: (3, 11, 17), 4: (5, 13, 17)}
 class CheckResult:
     name: str
     passed: bool
-    details: str = ""
-    seconds: float = field(default=0.0, repr=False)
+    details: str
+    seconds: float = field(repr=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -75,22 +77,31 @@ class CheckResult:
         return f"{status}  {self.name}{extra}"
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.seconds = time.perf_counter() - t0
-        return result
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+def _check(name: str):
+    """Make a check body into a named, timed check.  The body returns its
+    failures (strings) and the bound it certifies; the check passes iff
+    there are no failures, and its details are the failures joined by
+    "; " or else the bound.  An exception raised in the body is the one
+    failure, named by its type and the first line of its message."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            try:
+                failures, bound = body(*args, **kwargs)
+            except Exception as exc:
+                first = (str(exc).splitlines() or [""])[0]
+                failures, bound = [f"{type(exc).__name__}: {first}"], ""
+            return CheckResult(name, not failures, "; ".join(failures) or bound,
+                               time.perf_counter() - t0)
+        return check
+    return decorate
 
 
 # -- m-basis ---------------------------------------------------------------
 
-@_timed
-def check_m_table() -> CheckResult:
+@_check("m-table")
+def check_m_table() -> tuple[list[str], str]:
     """m(a,b) for a+b <= 3 matches the published table, and the explicit
     power families hold for r <= 3."""
     table = MBasis()
@@ -111,15 +122,11 @@ def check_m_table() -> CheckResult:
             got = table.element(a, b).support_exponents()
             if got != want:
                 bad.append(f"m({a},{b})={got}!={want}")
-    return CheckResult(
-        "m-table", not bad,
-        "; ".join(bad) if bad else
-        f"{len(M_TABLE_SMALL)} tabulated entries + power families r<=3",
-    )
+    return bad, f"{len(M_TABLE_SMALL)} tabulated entries + power families r<=3"
 
 
-@_timed
-def check_structure_suite() -> CheckResult:
+@_check("m-basis-structure")
+def check_structure_suite() -> tuple[list[str], str]:
     """Shift action and uniqueness of the m-basis up to degree 6, duality
     roundtrip on random elements, leading-exponent pairing witnesses, and
     divisibility of the module."""
@@ -193,16 +200,12 @@ def check_structure_suite() -> CheckResult:
             bad.append(f"divisibility by {label} not attained below level 65")
         else:
             found.append(f"{label}:N={minimal}")
-    return CheckResult(
-        "m-basis-structure", not bad,
-        "; ".join(bad) if bad else
-        "shift+uniqueness deg<=6; 100 roundtrips; witnesses on all of "
-        "levels 8 and 16; " + " ".join(found),
-    )
+    return bad, ("shift+uniqueness deg<=6; 100 roundtrips; witnesses on all "
+                 "of levels 8 and 16; " + " ".join(found))
 
 
-@_timed
-def check_dominant_exponents() -> CheckResult:
+@_check("dominant-exponents")
+def check_dominant_exponents() -> tuple[list[str], str]:
     """The largest delta exponent of m(a,b) is an odd integer whose code
     is (a,b), for a+b <= 6."""
     table = MBasis()
@@ -216,15 +219,13 @@ def check_dominant_exponents() -> CheckResult:
                 bad.append(f"code({k}) != ({a},{b})")
             if table.nilpotence_order(table.element(a, b)) != a + b + 1:
                 bad.append(f"nilpotence of m({a},{b}) != {a + b + 1}")
-    return CheckResult(
-        "dominant-exponents", not bad,
-        "; ".join(bad) if bad else "codes and nilpotence orders, a+b<=6")
+    return bad, "codes and nilpotence orders, a+b<=6"
 
 
 # -- Hecke algebra ----------------------------------------------------------
 
-@_timed
-def check_algebra_dimension() -> CheckResult:
+@_check("hecke-algebra-dimension")
+def check_algebra_dimension() -> tuple[list[str], str]:
     """The unital algebra generated by T_3 and T_5 on the level-n space has
     dimension exactly n, and every T_p with p <= 31 already lies in it."""
     extra = [p for p in odd_primes(31) if p not in (3, 5)]
@@ -237,24 +238,19 @@ def check_algebra_dimension() -> CheckResult:
         for p in extra:
             if not span.contains(hecke_matrix(p, n)):
                 bad.append(f"T_{p} outside the T_3,T_5 algebra at level {n}")
-    return CheckResult(
-        "hecke-algebra-dimension", not bad,
-        "; ".join(bad) if bad else
-        "dim = n for n<=64; generators up to 31 add nothing")
+    return bad, "dim = n for n<=64; generators up to 31 add nothing"
 
 
-@_timed
-def check_commutant() -> CheckResult:
+@_check("commutant")
+def check_commutant() -> tuple[list[str], str]:
     """The commutant of {T_3, T_5} in the full matrix algebra has dimension
     n: nothing commutes with the Hecke action beyond the algebra itself."""
-    bad = [n for n in range(1, 33) if commutant_dimension(n) != n]
-    return CheckResult(
-        "commutant", not bad,
-        f"failures at n={bad}" if bad else "dimension n for n<=32")
+    bad = [f"n={n}" for n in range(1, 33) if commutant_dimension(n) != n]
+    return bad, "dimension n for n<=32"
 
 
-@_timed
-def check_triangularity() -> CheckResult:
+@_check("triangularity-nilpotency")
+def check_triangularity() -> tuple[list[str], str]:
     """Every Hecke matrix with p <= 97, n <= 64 is strictly triangular in
     the exponent-ordered basis (asserted during construction, re-verified
     here), levels nest, and the matrices are nilpotent."""
@@ -274,14 +270,11 @@ def check_triangularity() -> CheckResult:
             s = nilpotency_index(hecke_matrix(p, n))
             if s > n:
                 bad.append(f"T_{p} nilpotency index {s} > {n}")
-    return CheckResult(
-        "triangularity-nilpotency", not bad,
-        "; ".join(bad[:4]) if bad else
-        f"all odd p<=97 at every level n<={max_level}; nilpotent")
+    return bad[:4], f"all odd p<=97 at every level n<={max_level}; nilpotent"
 
 
-@_timed
-def check_hecke_commutativity() -> CheckResult:
+@_check("hecke-commutativity")
+def check_hecke_commutativity() -> tuple[list[str], str]:
     """T_p T_q = T_q T_p on odd delta powers, compared as q-expansions."""
     primes = odd_primes(13)
     bad = []
@@ -291,9 +284,7 @@ def check_hecke_commutativity() -> CheckResult:
                 f = delta_pow(k, p * q * 64)
                 if hecke(p, hecke(q, f)) != hecke(q, hecke(p, f)):
                     bad.append(f"p={p} q={q} k={k}")
-    return CheckResult(
-        "hecke-commutativity", not bad,
-        "; ".join(bad) if bad else "p,q<=13 on delta^k, k<=19")
+    return bad, "p,q<=13 on delta^k, k<=19"
 
 
 def _prime_power_indices(e: int) -> set[int]:
@@ -325,8 +316,8 @@ def _pairing_prediction(m: int, f: F2Series) -> int:
     return acc
 
 
-@_timed
-def check_pairing_formula() -> CheckResult:
+@_check("iterated-hecke-pairing")
+def check_pairing_formula() -> tuple[list[str], str]:
     """The q^1 coefficient of T_{p_1}...T_{p_r} f: equals the coefficient
     of q^{p_1...p_r} in f when the primes are distinct, and in general the
     XOR predicted by expanding repeated factors through the Hecke relation
@@ -344,15 +335,12 @@ def check_pairing_formula() -> CheckResult:
                 bad.append(f"m={m} k={k} (squarefree)")
             if g.coeff(1) != _pairing_prediction(m, f):
                 bad.append(f"m={m} k={k} (general)")
-    return CheckResult(
-        "iterated-hecke-pairing", not bad,
-        "; ".join(bad) if bad else
-        "squarefree products <= 105 verbatim; all odd m <= 105 via the "
-        "Hecke relation; delta^k with k<=15")
+    return bad, ("squarefree products <= 105 verbatim; all odd m <= 105 via "
+                 "the Hecke relation; delta^k with k<=15")
 
 
-@_timed
-def check_generation_pairs() -> CheckResult:
+@_check("generation-by-pairs")
+def check_generation_pairs() -> tuple[list[str], str]:
     """Any pair T_p, T_p' with p = 3 mod 8 and p' = 5 mod 8 generates the
     full algebra (checked for p, p' <= 37, levels up to 32)."""
     ps = [p for p in odd_primes(37) if p % 8 == 3]
@@ -364,14 +352,11 @@ def check_generation_pairs() -> CheckResult:
                 span = AlgebraSpan(n, (p, q))
                 if span.dimension != n:
                     bad.append(f"(T_{p},T_{q}) at level {n}")
-    return CheckResult(
-        "generation-by-pairs", not bad,
-        "; ".join(bad) if bad else
-        f"{len(ps)}x{len(qs)} pairs, levels <= 32")
+    return bad, f"{len(ps)}x{len(qs)} pairs, levels <= 32"
 
 
-@_timed
-def check_kernel_equality() -> CheckResult:
+@_check("kernel-equality")
+def check_kernel_equality() -> tuple[list[str], str]:
     """T_p has the same kernel as T_3 when p = 3 mod 8, and as T_5 when
     p = 5 mod 8: T_p, T_base and [T_p; T_base] have one rank, n <= 32."""
     bad = []
@@ -386,13 +371,11 @@ def check_kernel_equality() -> CheckResult:
                 stacked = [c | r << n for c, r in zip(cols, ref)]
                 if not (rank(cols) == r_ref == rank(stacked)):
                     bad.append(f"ker T_{p} != ker T_{base} at level {n}")
-    return CheckResult(
-        "kernel-equality", not bad,
-        "; ".join(bad) if bad else "p<=100 in both classes, n<=32")
+    return bad, "p<=100 in both classes, n<=32"
 
 
-@_timed
-def check_module_cyclicity() -> CheckResult:
+@_check("module-cyclicity")
+def check_module_cyclicity() -> tuple[list[str], str]:
     """The level-n space is a cyclic (equivalently free, by the dimension
     count) module over its Hecke algebra exactly when n is 1, 2 or a power
     of two: the quotient by the maximal-ideal image, computed as
@@ -407,16 +390,13 @@ def check_module_cyclicity() -> CheckResult:
         cyclic_expected = n & (n - 1) == 0
         if (quotient == 1) != cyclic_expected:
             bad.append(f"level {n}: quotient dim {quotient}")
-    return CheckResult(
-        "module-cyclicity", not bad,
-        "; ".join(bad) if bad else
-        "cyclic exactly at powers of two, checked n<=32")
+    return bad, "cyclic exactly at powers of two, checked n<=32"
 
 
 # -- T_p expansions -----------------------------------------------------------
 
-@_timed
-def check_tp_tables() -> CheckResult:
+@_check("tp-expansion-tables")
+def check_tp_tables() -> tuple[list[str], str]:
     """The expansions of T_7, T_11, T_13, T_17 in x = T_3, y = T_5 match
     the published series coefficient-for-coefficient through the printed
     total degrees."""
@@ -428,14 +408,11 @@ def check_tp_tables() -> CheckResult:
             bad.append(f"T_{p}: +{sorted(got - printed)} -{sorted(printed - got)}")
     if table.tp_expansion(3, 6) != {(1, 0)} or table.tp_expansion(5, 6) != {(0, 1)}:
         bad.append("T_3 or T_5 is not the corresponding coordinate")
-    return CheckResult(
-        "tp-expansion-tables", not bad,
-        "; ".join(bad) if bad else
-        "T_7/T_11/T_13/T_17 through degrees 14/13/11/12")
+    return bad, "T_7/T_11/T_13/T_17 through degrees 14/13/11/12"
 
 
-@_timed
-def check_frobenian() -> CheckResult:
+@_check("frobenian-criteria")
+def check_frobenian() -> tuple[list[str], str]:
     """For every odd prime below 1000: the parity class of every monomial
     of T_p, through degree 8, is determined by p mod 8, and the five
     explicit coefficient criteria hold (congruences, and representations
@@ -450,14 +427,11 @@ def check_frobenian() -> CheckResult:
         report = frobenian_report(p, monomials, rep8, rep16)
         if not report.all_ok:
             bad.append(f"coefficient criteria fail for {p}: {report}")
-    return CheckResult(
-        "frobenian-criteria", not bad,
-        "; ".join(bad[:4]) if bad else
-        "all odd p < 1000, degree <= 8")
+    return bad[:4], "all odd p < 1000, degree <= 8"
 
 
-@_timed
-def check_aij_consistency() -> CheckResult:
+@_check("tp-coefficient-consistency")
+def check_aij_consistency() -> tuple[list[str], str]:
     """a_ij(p) computed as the q^p coefficient of m(i,j) agrees with the
     shift coefficients read from the m-expansion of T_p m(5,5)."""
     table = MBasis()
@@ -473,13 +447,11 @@ def check_aij_consistency() -> CheckResult:
         via_shift = {(i, j) for i, j in via_shift if i + j <= 5}
         if via_shift != direct:
             bad.append(f"p={p}")
-    return CheckResult(
-        "tp-coefficient-consistency", not bad,
-        "; ".join(bad) if bad else "two routes agree for p<=50, i+j<=5")
+    return bad, "two routes agree for p<=50, i+j<=5"
 
 
-@_timed
-def check_injectivity_witnesses() -> CheckResult:
+@_check("injectivity-witnesses")
+def check_injectivity_witnesses() -> tuple[list[str], str]:
     """Witness construction: for sample series u in x, y the returned odd k
     satisfies u(T_3, T_5) delta^k = delta (verified internally)."""
     table = MBasis()
@@ -494,15 +466,13 @@ def check_injectivity_witnesses() -> CheckResult:
     extra = [{(1, 2), (3, 0)}, {(1, 1), (2, 2)}, {(0, 3), (4, 1), (2, 3)}]
     for lam in extra:
         table.injectivity_witness(lam)  # raises on failure
-    return CheckResult(
-        "injectivity-witnesses", not bad,
-        "; ".join(bad) if bad else f"{len(cases) + len(extra)} series")
+    return bad, f"{len(cases) + len(extra)} series"
 
 
 # -- theta families ------------------------------------------------------------
 
-@_timed
-def check_theta_tables(precision: int = 4096) -> CheckResult:
+@_check("theta-tables-identities")
+def check_theta_tables(precision: int = 4096) -> tuple[list[str], str]:
     """Theta tables for n <= 3 match the published values, and the identity
     families hold for n <= 6 at the working precision."""
     bad = []
@@ -515,14 +485,12 @@ def check_theta_tables(precision: int = 4096) -> CheckResult:
         for c in (2, 4):
             if not verify_theta_identities(n, c, precision):
                 bad.append(f"identities fail at n={n}, c={c}")
-    return CheckResult(
-        "theta-tables-identities", not bad,
-        "; ".join(bad) if bad else
-        f"tables n<=3 both forms; identities n<=6 at precision {precision}")
+    return bad, ("tables n<=3 both forms; identities n<=6 at precision "
+                 f"{precision}")
 
 
-@_timed
-def check_span_equalities() -> CheckResult:
+@_check("theta-span-equalities")
+def check_span_equalities() -> tuple[list[str], str]:
     """Theta families span the same subspaces as the boundary rows of the
     m-basis: m(a,0) for the form x^2+2y^2, m(0,b) for x^2+4y^2."""
     bad = []
@@ -532,13 +500,11 @@ def check_span_equalities() -> CheckResult:
     for n in range(1, 4):
         if not verify_span_equality(n, 4):
             bad.append(f"c=4 n={n}")
-    return CheckResult(
-        "theta-span-equalities", not bad,
-        "; ".join(bad) if bad else "c=2 for n<=4, c=4 for n<=3")
+    return bad, "c=2 for n<=4, c=4 for n<=3"
 
 
-@_timed
-def check_hecke_on_theta(precision: int = 256) -> CheckResult:
+@_check("hecke-on-theta")
+def check_hecke_on_theta(precision: int = 256) -> tuple[list[str], str]:
     """The Hecke action permutes theta indices through the composition law
     (split primes) or kills the family (inert primes), for all p <= 100 and
     n <= 4; plus the closed-form special relations."""
@@ -558,14 +524,12 @@ def check_hecke_on_theta(precision: int = 256) -> CheckResult:
                 rhs = hecke(p, delta_pow(exponent, p * 2 * precision))
                 if lhs != rhs:
                     bad.append(f"special relation p={p} n={n} c={c}")
-    return CheckResult(
-        "hecke-on-theta", not bad,
-        "; ".join(bad) if bad else
-        f"p<=100, n<=4, both forms, precision {precision}; special relations n<=3")
+    return bad, (f"p<=100, n<=4, both forms, precision {precision}; "
+                 "special relations n<=3")
 
 
-@_timed
-def check_composition_compatibility(precision: int = 128) -> CheckResult:
+@_check("hecke-composition-compatibility")
+def check_composition_compatibility(precision: int = 128) -> tuple[list[str], str]:
     """Two Hecke operators acting on a theta series compose through the
     law: T_p T_q theta equals the four-term index sum.  Each family is
     built once at the deepest precision, max(primes)^2 * precision, and
@@ -589,26 +553,22 @@ def check_composition_compatibility(precision: int = 128) -> CheckResult:
                                 bits ^= family[law.compose(law.compose(t, sp), sq)]
                         if lhs != F2Series(bits, precision):
                             bad.append(f"p={p} q={q} t={t} n={n} c={c}")
-    return CheckResult(
-        "hecke-composition-compatibility", not bad,
-        "; ".join(bad) if bad else "double action matches four-term sums, n<=3")
+    return bad, "double action matches four-term sums, n<=3"
 
 
-@_timed
-def check_composition_groups() -> CheckResult:
+@_check("composition-groups")
+def check_composition_groups() -> tuple[list[str], str]:
     """(Z/2^n, *) is an abelian group, cyclic of order 2^n, for both laws."""
     bad = [
         f"n={n} c={c}"
         for n in range(1, 11) for c in (2, 4)
         if not verify_composition_group(n, c)
     ]
-    return CheckResult(
-        "composition-groups", not bad,
-        "; ".join(bad) if bad else "abelian + cyclic of order 2^n, n<=10")
+    return bad, "abelian + cyclic of order 2^n, n<=10"
 
 
-@_timed
-def check_kernel_characterization() -> CheckResult:
+@_check("theta-kernel-characterization")
+def check_kernel_characterization() -> tuple[list[str], str]:
     """Kernel vectors of T_5 (resp. T_3) have representable q-support and
     lie in the theta (resp. theta') span."""
     bad = []
@@ -616,9 +576,7 @@ def check_kernel_characterization() -> CheckResult:
         for n_level in (2, 4, 8):
             if not verify_kernel_characterization(n_level, c, 2048):
                 bad.append(f"c={c} level {n_level}")
-    return CheckResult(
-        "theta-kernel-characterization", not bad,
-        "; ".join(bad) if bad else "levels 2, 4, 8 for both forms")
+    return bad, "levels 2, 4, 8 for both forms"
 
 
 SUITES: dict[str, list] = {

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .checks import SUITES, run_suite
-from .mbasis import LEVEL_CAP, LevelExhausted, MBasis
+from .mbasis import LevelExhausted, MBasis, within_cap
 from .spaces import DeltaCoords, NotInSpan, expand_in_delta_basis
 from .theta import theta_coords, theta_level
 
@@ -86,9 +86,11 @@ def cmd_theta_table(args) -> int:
         return _usage_error("--n-max must be >= 1")
     if args.precision < 0:
         return _usage_error("--precision must be >= 0")
-    level = max((args.precision + 1) // 2, theta_level(args.n_max, args.c))
-    if level > LEVEL_CAP:
-        raise LevelExhausted(f"level {level} needed, over the level cap {LEVEL_CAP}")
+    level = within_cap((args.precision + 1) // 2)
+    # each family needs a deeper level than the last, so the walk stops at
+    # the first family over the cap, however large n_max is
+    for n in range(1, args.n_max + 1):
+        level = max(level, within_cap(theta_level(n, args.c)))
     for n in range(1, args.n_max + 1):
         for t in range(2 ** (n - 1) + 1):
             coords = theta_coords(t, n, args.c, level)

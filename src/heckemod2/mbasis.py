@@ -41,6 +41,16 @@ class LevelExhausted(RuntimeError):
     """A computation needs a level over the level cap."""
 
 
+def within_cap(level: int) -> int:
+    """`level`, if the level cap allows it; else LevelExhausted, with a
+    message of a few dozen characters however large the level is."""
+    if level > LEVEL_CAP:
+        shown = level if level < 1 << 64 else "above 2^64"
+        raise LevelExhausted(
+            f"level {shown} needed, over the level cap {LEVEL_CAP}")
+    return level
+
+
 def code_of(k: int) -> MIndex:
     """The index (a,b) whose m(a,b) has dominant exponent k, k odd >= 1:
     the bits of (k-1)/2 at even positions are the binary digits of a, the
@@ -187,11 +197,7 @@ class MBasis:
             )
 
     def _grow(self, level: int):
-        if level > LEVEL_CAP:
-            raise LevelExhausted(
-                f"level {level} needed, over the level cap {LEVEL_CAP}"
-            )
-        self._level = min(max(level, 2 * self._level), LEVEL_CAP)
+        self._level = min(max(within_cap(level), 2 * self._level), LEVEL_CAP)
         self._rebuild()
 
     def ensure_level(self, level: int):
@@ -270,10 +276,8 @@ class MBasis:
         if degree <= self._degree:
             return
         # m(0, degree) alone rules out a degree too deep for the cap
-        level = code_level(0, degree)
-        if level <= LEVEL_CAP:
-            level = degree_level(degree)
-        self.ensure_level(level)
+        within_cap(code_level(0, degree))
+        self.ensure_level(degree_level(degree))
         for d in range(degree + 1):
             for a in range(d, -1, -1):
                 self.ensure(a, d - a)
@@ -415,17 +419,6 @@ class MBasis:
             raise ValueError(f"expected an odd prime, got {p}")
         return frozenset(ij for ij, bits in self._expansions(p, degree)
                          if bits >> p & 1)
-
-    def parity_pattern_ok(self, p: int, degree: int) -> bool:
-        """Do all monomials of T_p up to the given total degree have the
-        parity class (i mod 2, j mod 2) forced by p mod 8?"""
-        return parity_pattern_holds(p, self.tp_expansion(p, degree))
-
-    def frobenian_criteria(self, p: int) -> FrobenianReport:
-        """Check the five explicit coefficient criteria for one odd prime."""
-        return frobenian_report(p, self.tp_expansion(p, 2),
-                                odd_b_representations(p, 8),
-                                odd_b_representations(p, 16))
 
     # -- injectivity witnesses ------------------------------------------------
 

@@ -4,10 +4,11 @@ A series is known up to an inclusive exponent bound (its *precision*);
 coefficients beyond the bound are undefined and never stored.  The
 coefficient of q^e is bit e of an int, so addition is XOR and
 multiplication is a carry-free shift-and-XOR convolution.  Everything
-here is pure and immutable except one shared, grow-only table of odd
-delta powers behind `_odd_delta_power_bits`: it is built on first use,
-only ever gains powers or precision, and each entry is an exact
-truncation of its delta power, so sharing it changes no result.
+here is pure and immutable except one shared table of odd delta powers
+behind `_odd_delta_power_bits`: it is built on first use, its precision
+only rises (a rise restarts it with the powers asked for), and each
+entry is an exact truncation of its delta power, so sharing it changes
+no result.
 """
 
 from __future__ import annotations
@@ -174,14 +175,15 @@ def _odd_delta_power_bits(count: int, precision: int) -> list[int]:
 
     Served from the shared table: more powers extend it by multiplying by
     delta^2, as one shift per exponent of delta^2 (read once), and more
-    precision recomputes all its powers at exactly that precision.  The
-    returned list is a fresh copy, never changed by later growth.
+    precision restarts it at exactly that precision, with only the powers
+    this request asks for.  The returned list is a fresh copy, never
+    changed by later growth.
     """
     global _powers, _powers_precision
     with _powers_lock:
-        want = max(count, len(_powers))
         if not _powers or precision > _powers_precision:
             _powers, _powers_precision = [delta(precision).bits], precision
+        want = max(count, len(_powers))
         if want > len(_powers):
             shifts = square(delta(_powers_precision)).support()
             mask = _mask(_powers_precision)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from heckemod2 import checks, cli, mbasis, spaces
+from heckemod2 import checks, cli, mbasis, spaces, theta
 from heckemod2.cli import main
 
 
@@ -86,12 +86,23 @@ def test_code_of_huge_exponent_is_direct(capsys, nothing_built):
     assert code == 0 and out == "784,452\n"
 
 
+# 4000 digits: int() still parses it (its limit is 4300), but a level taken
+# from it has thousands of digits, or more than str() will print
+HUGE = "9" * 4000
+
+
 @pytest.mark.parametrize("argv,stdin", [
     (("m-table", "--degree", "64"), None),
     (("tp-table", "--degree", "64"), None),
     (("decompose", "-"), "99999999999"),
     (("theta-table", "--c", "4", "--n-max", "8"), None),
-])
+    (("m-table", "--degree", HUGE), None),
+    (("tp-table", "--degree", HUGE), None),
+    (("decompose", "-"), HUGE),
+    (("theta-table", "--n-max", "8000"), None),
+    (("theta-table", "--n-max", "1000000"), None),
+    (("theta-table", "--precision", HUGE), None),
+], ids=lambda x: "huge" if x == HUGE else None)
 def test_work_over_the_cap_fails_before_building(capsys, monkeypatch,
                                                  nothing_built, argv, stdin):
     if stdin is not None:
@@ -99,7 +110,27 @@ def test_work_over_the_cap_fails_before_building(capsys, monkeypatch,
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "over the level cap" in err
+    assert "over the level cap" in err and len(err) < 200
+
+
+def test_theta_table_stops_at_the_first_family_over_the_cap(
+        capsys, monkeypatch, nothing_built):
+    """The families' levels grow with n, so theta-table asks for them in
+    turn and stops at the first over the cap (n = 9 for c = 2, level
+    21846): the level of a large n_max is never formed."""
+    seen, widths = [], []
+    level_of, spread = theta.theta_level, mbasis.spread_bits
+    monkeypatch.setattr(cli, "theta_level",
+                        lambda n, c: seen.append(n) or level_of(n, c))
+    monkeypatch.setattr(mbasis, "spread_bits",
+                        lambda x: widths.append(x.bit_length()) or spread(x))
+    for n_max in ("9", "8000", "1000000"):
+        seen.clear()
+        code, out, err = run_cli(capsys, "theta-table", "--n-max", n_max)
+        assert code == 1 and out == ""
+        assert err == "error: level 21846 needed, over the level cap 8192\n"
+        assert seen == list(range(1, 10))
+    assert max(widths) == 8
 
 
 def test_code_of(capsys):
@@ -177,6 +208,24 @@ def test_verify_timings_go_to_stderr(capsys):
     assert len(timings) == 4
     assert all(line.endswith("s)") for line in timings)
     assert run_cli(capsys, "verify", "--suite", "mbasis")[1] == out
+
+
+def test_a_check_that_raises_is_one_fail_line(capsys, monkeypatch):
+    """An exception inside a check becomes that check's FAIL line, named by
+    its type and message; the rest of the suite still runs."""
+    def boom(*args):
+        raise RuntimeError("stacked kernel exploded\nsecond line")
+    monkeypatch.setattr(checks, "stacked_kernel_is_trivial", boom)
+    code, out, err = run_cli(capsys, "verify", "--suite", "mbasis")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == ("FAIL  m-basis-structure  "
+                        "[RuntimeError: stacked kernel exploded]")
+    assert [line.split()[:2] for line in lines[:4]] == [
+        ["PASS", "m-table"], ["FAIL", "m-basis-structure"],
+        ["PASS", "dominant-exponents"], ["PASS", "injectivity-witnesses"]]
+    assert lines[4:] == ["3/4 checks passed"]
+    assert "Traceback" not in err and len(err.splitlines()) == 4
 
 
 @pytest.mark.parametrize("precision,shown", [("0", 1025), ("2000", 2000)])

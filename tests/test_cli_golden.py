@@ -7,8 +7,12 @@ one, the deepest table under the level cap, before its entries were
 back-substituted instead of solved as a stacked system, the `verify --suite
 theta --precision 2048` one before the theta families were built once per
 index, and the two wide `tp-table` ones before every T_p was read off one
-q-expansion of each m(i,j) instead of one probe per prime), so any change
-to the bytes the CLI prints shows up here.  `verify` used to print each
+q-expansion of each m(i,j) instead of one probe per prime, and the
+`code-of` and `decompose` ones of benchmark seeds 4 and 5 before `verify`
+ran its checks through one harness), so any change to the bytes the CLI
+prints shows up here.  In seed 5's `decompose` input the repeated exponent
+1977, which cancels, is the largest, so the CLI sizes its level from an
+exponent above the reduced top 1759.  `verify` used to print each
 check's wall time on stdout; its digest was taken with those `  (N.Ns)`
 suffixes removed, which is exactly what it prints now.
 """
@@ -52,6 +56,17 @@ GOLDEN = [
     # compatibility at 64
     (["verify", "--suite", "theta", "--precision", "2048"], None,
      "0911fd1d9c08ed3007b209187f65379ddbc8fca2e17f5c0b81bd1fb7c60c1b16"),
+    # the seed-dependent mbasis-deep commands of benchmark seeds 4 and 5
+    (["code-of", "1507"], None,
+     "42110996af7e372a4189a994de5d205b0330fd8d38c8a2152c9fa2c3fcd62194"),
+    (["decompose", "-", "--format", "csv"],
+     "1645,1235,1835,2005,1341,1209,1161,1645",
+     "c4b9cecc8735bc7310e603a9fd122ccc93ccea3cbb7898d74d5f4510bdffddbc"),
+    (["code-of", "1547"], None,
+     "1f5415a1c413cbc5765689c6f6c268e9f023a8eb35ccd88df044bfc984dc70e7"),
+    (["decompose", "-", "--format", "csv"],
+     "1759,1083,1977,1535,1131,1345,1255,1977",
+     "770ca23be3d472053223c58d551261e80bc9e569c7715cb178278a84de5ce225"),
 ]
 
 

@@ -350,10 +350,9 @@ def test_tp_coefficient_equals_qp_of_m(mtable):
 
 
 def test_parity_patterns(mtable):
-    assert mtable.parity_pattern_ok(3, 8)
-    assert mtable.parity_pattern_ok(7, 8)
-    for p in (41, 43, 53, 151, 197, 199):
-        assert mtable.parity_pattern_ok(p, 8), p
+    table = mtable.tp_table(199, 8)
+    for p in (3, 7, 41, 43, 53, 151, 197, 199):
+        assert parity_pattern_holds(p, table[p]), p
 
 
 def _rep_oracle(p, c):
@@ -379,14 +378,21 @@ def test_representation_sieve_matches_the_search():
 
 
 def test_frobenian_criteria(mtable):
-    assert mtable.frobenian_criteria(3).all_ok       # a10 via 3 = 3 mod 8
-    assert mtable.frobenian_criteria(7).all_ok       # a11 via 7 = 7 mod 16
-    assert mtable.frobenian_criteria(17).all_ok      # a20 via 17 = 3^2 + 8
-    report17 = mtable.frobenian_criteria(17)
+    table = mtable.tp_table(97, 2)
+    rep8 = odd_b_representations(97, 8)
+    rep16 = odd_b_representations(97, 16)
+
+    def report(p):
+        return frobenian_report(p, table[p], rep8, rep16)
+
+    assert report(3).all_ok       # a10 via 3 = 3 mod 8
+    assert report(7).all_ok       # a11 via 7 = 7 mod 16
+    assert report(17).all_ok      # a20 via 17 = 3^2 + 8
+    report17 = report(17)
     assert (2, 0) in mtable.tp_expansion(17, 2)
     assert _rep_oracle(17, 8) and report17.a20
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 73, 89, 97):
-        assert mtable.frobenian_criteria(p).all_ok, p
+        assert report(p).all_ok, p
 
 
 def tp_expansion_reference(table, p, degree):
@@ -441,6 +447,23 @@ def test_frobenian_criteria_below_a_million(own_delta_powers):
            if not (parity_pattern_holds(p, monomials)
                    and frobenian_report(p, monomials, rep8, rep16).all_ok)]
     assert bad == []
+
+
+def test_tp_table_after_many_powers_at_a_low_precision(own_delta_powers):
+    """The precision raise of a wide T_p table rebuilds only the delta
+    powers it needs: after 1000 powers at precision 4000, the table at
+    10^5 holds its 9 powers, not 1000, and every prime's T_p is right."""
+    _odd_delta_power_bits(1000, 4000)
+    bound = 10 ** 5
+    table = MBasis().tp_table(bound, 2)
+    assert len(series._powers) == degree_level(2) == 9
+    assert series._powers_precision == bound
+    assert len(table) == 9591
+    rep8 = odd_b_representations(bound, 8)
+    rep16 = odd_b_representations(bound, 16)
+    assert [p for p, monomials in table.items()
+            if not (parity_pattern_holds(p, monomials)
+                    and frobenian_report(p, monomials, rep8, rep16).all_ok)] == []
 
 
 def test_parity_pattern_through_degree_8_below_200000(own_delta_powers):

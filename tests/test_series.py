@@ -243,13 +243,15 @@ def test_power_table_serves_exact_truncations(requests):
             assert pows == snapshot
 
 
-def test_power_table_regrows_precision_keeping_its_powers():
+def test_power_table_regrows_precision_with_only_the_requested_powers():
+    """A precision raise restarts the table with the powers the request
+    asks for, not every power the table held."""
     with fresh_power_table():
         _odd_delta_power_bits(12, 50)
         assert series._powers_precision == 50
         pows = _odd_delta_power_bits(3, 120)
-        assert series._powers_precision == 120 and len(series._powers) == 12
-        assert pows == odd_delta_power_bits_reference(3, 120)
+        assert series._powers_precision == 120 and len(series._powers) == 3
+        assert pows == series._powers == odd_delta_power_bits_reference(3, 120)
         # a lower precision is served from the table, extra bits included
         low = _odd_delta_power_bits(12, 40)
         assert low == series._powers

@@ -31,6 +31,8 @@ MARKER = "PERFBENCH "
     ["verify", "--suite", "algebra"],
     # theta_series, verify_hecke_on_theta and verify_composition_group
     ["verify", "--suite", "theta"],
+    # the last four checks, so that all 21 run traced through the harness
+    ["verify", "--suite", "mbasis"],
 ])
 def test_traced_command_has_no_absent_target(argv):
     env = dict(os.environ)
