@@ -2,7 +2,7 @@
 
 Vectors are Python ints (bit i = coordinate i); a matrix is a tuple of
 column ints.  `Span` is the one elimination engine: an echelon basis
-pivoting on the lowest set bit, so every computation is deterministic.
+pivoting on the highest set bit, so every computation is deterministic.
 `rank` and `LinearSolver` read their answers off a `Span`, and every loop
 over the set bits of an int goes through `iter_bits`.
 """
@@ -60,7 +60,7 @@ def apply_columns(cols: Sequence[int], v: int) -> int:
 
 
 class Span:
-    """Incrementally maintained echelon basis of a GF(2) subspace.
+    """Incremental echelon basis of a GF(2) subspace, keyed by highest bits.
 
     Args:
         vectors: optional initial vectors to insert.
@@ -74,8 +74,7 @@ class Span:
     def reduce(self, v: int) -> int:
         """Reduce v against the basis; 0 means v is in the span."""
         while v:
-            low = lowest_bit(v)
-            piv = self._pivots.get(low)
+            piv = self._pivots.get(v.bit_length() - 1)
             if piv is None:
                 break
             v ^= piv
@@ -86,7 +85,7 @@ class Span:
         v = self.reduce(v)
         if v == 0:
             return False
-        self._pivots[lowest_bit(v)] = v
+        self._pivots[v.bit_length() - 1] = v
         return True
 
     def contains(self, v: int) -> bool:
@@ -97,9 +96,9 @@ class Span:
         return len(self._pivots)
 
     def echelon(self) -> list[tuple[int, int]]:
-        """The (pivot, vector) pairs, highest pivot first: the order in
+        """The (pivot, vector) pairs, lowest pivot first: the order in
         which back-substitution reads them."""
-        return sorted(self._pivots.items(), reverse=True)
+        return sorted(self._pivots.items())
 
 
 def rank(vectors: Iterable[int]) -> int:
@@ -185,10 +184,10 @@ class GF2Matrix:
 class LinearSolver:
     """Repeated-solve helper for a fixed GF(2) system M x = b.
 
-    Row idx goes into a `Span` as (row | 1 << (width + idx)), so each pivot
-    vector carries, above bit `width`, the equations XORed into it.  A
-    pivot below `width` fixes one unknown; one at or above it is a relation
-    between rows that b must satisfy.
+    Row idx goes into a `Span` as (row << len(rows) | 1 << idx), so each
+    pivot vector carries, below bit len(rows), the equations XORed into
+    it.  A pivot at or above len(rows) fixes one unknown; one below it is
+    a relation between rows that b must satisfy.
 
     Args:
         rows: the equations, one bitset of length `width` per row.
@@ -196,30 +195,29 @@ class LinearSolver:
     """
 
     def __init__(self, rows: Sequence[int], width: int):
-        self._width = width
-        low_mask = (1 << width) - 1
-        span = Span((row & low_mask) | 1 << (width + idx)
+        self._tags = tags = len(rows)
+        mask = (1 << width) - 1
+        span = Span((row & mask) << tags | 1 << idx
                     for idx, row in enumerate(rows))
         self._pivots = span.echelon()
-        self._rank = sum(1 for col, _ in self._pivots if col < width)
+        self._nullity = width - sum(col >= tags for col, _ in self._pivots)
 
     @property
     def kernel_dimension(self) -> int:
-        return self._width - self._rank
+        return self._nullity
 
     def solve(self, rhs: int) -> int | None:
         """One solution of M x = rhs (free coordinates 0), or None.
 
-        Back-substitution from the highest pivot down: a pivot's bit of x
-        is the parity of its equations' bits of rhs plus that of the
-        unknowns already fixed, so one parity of y = rhs << width | x.
+        Back-substitution from the lowest pivot up: a pivot's bit of x is
+        the parity of its equations' bits of rhs plus that of the unknowns
+        below it, already fixed, so one parity of y = x << len(rows) | rhs.
         """
-        width = self._width
-        y = rhs << width
+        tags = self._tags
+        y = rhs & ((1 << tags) - 1)
         for col, aug in self._pivots:
             if parity(aug & y):
-                if col >= width:
+                if col < tags:
                     return None
                 y |= 1 << col
-        return y & ((1 << width) - 1)
-
+        return y >> tags

@@ -5,10 +5,10 @@ coefficients beyond the bound are undefined and never stored.  The
 coefficient of q^e is bit e of an int, so addition is XOR and
 multiplication is a carry-free shift-and-XOR convolution.  Everything
 here is pure and immutable except one shared table of odd delta powers
-behind `_odd_delta_power_bits`: it is built on first use, its precision
-only rises (a rise restarts it with the powers asked for), and each
-entry is an exact truncation of its delta power, so sharing it changes
-no result.
+behind `_odd_delta_power_bits`: it is built on first use, it grows only
+at the precision of the request that grows it (another precision
+restarts it with the powers asked for), and each entry is an exact
+truncation of its delta power, so sharing it changes no result.
 """
 
 from __future__ import annotations
@@ -173,23 +173,23 @@ def _odd_delta_power_bits(count: int, precision: int) -> list[int]:
     """Bit-packed delta^(2i+1) for i = 0..count-1, correct through
     `precision`; entries may carry bits above it, so mask before use.
 
-    Served from the shared table: more powers extend it by multiplying by
-    delta^2, as one shift per exponent of delta^2 (read once), and more
-    precision restarts it at exactly that precision, with only the powers
-    this request asks for.  The returned list is a fresh copy, never
-    changed by later growth.
+    Served from the shared table when it holds `count` powers at
+    `precision` or more.  Otherwise a request at another precision
+    restarts it at exactly that precision, and more powers extend it by
+    delta^2: one shifted copy per exponent of delta^2 (read once), XORed
+    in one at a time.  The returned list is a fresh copy, never changed.
     """
     global _powers, _powers_precision
     with _powers_lock:
-        if not _powers or precision > _powers_precision:
+        if precision > _powers_precision or (
+                count > len(_powers) and precision != _powers_precision):
             _powers, _powers_precision = [delta(precision).bits], precision
-        want = max(count, len(_powers))
-        if want > len(_powers):
-            shifts = square(delta(_powers_precision)).support()
-            mask = _mask(_powers_precision)
+        if count > len(_powers):
+            shifts = square(delta(precision)).support()
+            mask = _mask(precision)
             cur = _powers[-1]
-            for _ in range(want - len(_powers)):
-                cur = reduce(xor, [cur << s for s in shifts], 0) & mask
+            for _ in range(count - len(_powers)):
+                cur = reduce(xor, map(cur.__lshift__, shifts), 0) & mask
                 _powers.append(cur)
         return _powers[:count]
 

@@ -131,13 +131,14 @@ def _hecke_polynomials(p: int):
 
 def _recurrence_columns(p: int, n: int) -> list[int]:
     """Columns of T_p on the level-n space: column k is the odd-position
-    bits of T(2k+1), whose even-position bits must be zero."""
+    bits of T(2k+1), which must lie in the odd positions below 2n."""
+    outside = ~int("10" * n, 2)
     cols = []
     for t in islice(_hecke_polynomials(p), 1, 2 * n, 2):
-        if even_bits(t):
+        if t & outside:
             raise RuntimeError(
                 f"stability violated: T_{p} delta^{2 * len(cols) + 1} "
-                "involves an even power of delta")
+                f"involves an even power of delta or one above delta^{2 * n - 1}")
         cols.append(even_bits(t >> 1))
     return cols
 
@@ -288,7 +289,7 @@ def check_divisibility(support, n: int, big_n: int) -> bool:
 
 def kernel(m: GF2Matrix) -> list[int]:
     """Basis of the kernel of m acting on coordinate bitsets: the relations
-    among its columns, each column k tagged with bit n + k, read off the
-    echelon vectors whose pivot lies in the tag."""
-    span = Span(c | 1 << (m.n + k) for k, c in enumerate(m.cols))
-    return [v >> m.n for pivot, v in span.echelon() if pivot >= m.n]
+    among its columns, each column k shifted above n and tagged with bit k,
+    are the echelon vectors whose pivot lies in the tag."""
+    span = Span(c << m.n | 1 << k for k, c in enumerate(m.cols))
+    return [v for pivot, v in span.echelon() if pivot < m.n]

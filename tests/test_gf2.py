@@ -5,21 +5,76 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckemod2.gf2 import (GF2Matrix, LinearSolver, Span, bit_flags,
-                           iter_bits, rank)
+from heckemod2.gf2 import (GF2Matrix, LinearSolver, Span, apply_columns,
+                           bit_flags, iter_bits, lowest_bit, rank)
 from heckemod2.spaces import kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heckemod2"
 
 
+class LowestBitSpan:
+    """Echelon basis keyed on the lowest set bit: the reference for `Span`,
+    which keys on the highest."""
+
+    def __init__(self, vectors=()):
+        self.pivots = {}
+        for v in vectors:
+            v = self.reduce(v)
+            if v:
+                self.pivots[lowest_bit(v)] = v
+
+    def reduce(self, v):
+        while v and lowest_bit(v) in self.pivots:
+            v ^= self.pivots[lowest_bit(v)]
+        return v
+
+
+def kernel_reference(m):
+    """Kernel basis from lowest-bit pivots, each column k tagged with bit
+    n + k above the data."""
+    span = LowestBitSpan(c | 1 << (m.n + k) for k, c in enumerate(m.cols))
+    return [v >> m.n for pivot, v in span.pivots.items() if pivot >= m.n]
+
+
+@st.composite
+def vector_families(draw):
+    """Up to 24 vectors of up to 256 bits, then up to 8 XORs of subsets of
+    them, so the family has relations at every width."""
+    width = draw(st.integers(1, 256))
+    vecs = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=24))
+    mixes = draw(st.lists(st.integers(0, (1 << len(vecs)) - 1), max_size=8))
+    return vecs + [apply_columns(vecs, mix) for mix in mixes], width
+
+
+@given(vector_families(), st.integers(0, (1 << 256) - 1),
+       st.integers(0, 1 << 32))
+@settings(max_examples=150, deadline=None)
+def test_span_against_lowest_bit_reference(family, probe, mix):
+    vecs, width = family
+    span, ref = Span(vecs), LowestBitSpan(vecs)
+    assert span.dimension == len(ref.pivots) == rank(vecs)
+    for v in (probe & ((1 << width) - 1), apply_columns(vecs, mix)):
+        assert span.contains(v) == (ref.reduce(v) == 0)
+    keys = [pivot for pivot, _ in span.echelon()]
+    assert keys == [v.bit_length() - 1 for _, v in span.echelon()]
+    assert keys == sorted(set(keys))
+    if vecs:
+        n = len(vecs)
+        m = GF2Matrix([v & ((1 << n) - 1) for v in vecs], n)
+        basis, want = kernel(m), kernel_reference(m)
+        assert len(basis) == len(want) == rank(basis + want)
+
+
 def naive_solve(rows, width, rhs_bits):
+    """Gauss-Jordan elimination walking the columns from the top, so the
+    free coordinates are those of an echelon keyed on highest set bits."""
     cur = [[rows[i], (rhs_bits >> i) & 1] for i in range(len(rows))]
     used = [False] * len(cur)
     pivots = []
-    for col in range(width):
+    for col in reversed(range(width)):
         pr = next((r for r in range(len(cur))
                    if not used[r] and (cur[r][0] >> col) & 1), None)
         if pr is None:

@@ -78,6 +78,13 @@ def test_uniqueness_stacked_kernel_trivial():
         assert rank(stacked) == n
 
 
+def test_uniqueness_certified_at_the_level_cap():
+    """The rank certificate of [T_3; T_5; e] runs at the level cap."""
+    table = MBasis()
+    table.ensure_level(mbasis.LEVEL_CAP)
+    assert table.level == mbasis.LEVEL_CAP
+
+
 def test_uniqueness_certificate_against_solver():
     """The column-rank certificate says trivial exactly when the row
     solver finds a trivial kernel, also on random column pairs."""

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -244,18 +245,47 @@ def test_power_table_serves_exact_truncations(requests):
 
 
 def test_power_table_regrows_precision_with_only_the_requested_powers():
-    """A precision raise restarts the table with the powers the request
-    asks for, not every power the table held."""
+    """A precision raise, or more powers at another precision, restarts the
+    table with the powers the request asks for, not every power the table
+    held; a request the table covers is served from it."""
     with fresh_power_table():
         _odd_delta_power_bits(12, 50)
         assert series._powers_precision == 50
         pows = _odd_delta_power_bits(3, 120)
         assert series._powers_precision == 120 and len(series._powers) == 3
         assert pows == series._powers == odd_delta_power_bits_reference(3, 120)
-        # a lower precision is served from the table, extra bits included
+        # more powers at a lower precision restart the table there
         low = _odd_delta_power_bits(12, 40)
-        assert low == series._powers
-        assert [b & _mask(40) for b in low] == odd_delta_power_bits_reference(12, 40)
+        assert series._powers_precision == 40 and len(series._powers) == 12
+        assert low == series._powers == odd_delta_power_bits_reference(12, 40)
+        # fewer powers at a lower precision are served, extra bits included
+        lower = _odd_delta_power_bits(5, 30)
+        assert series._powers_precision == 40 and lower == series._powers[:5]
+        assert ([b & _mask(30) for b in lower]
+                == odd_delta_power_bits_reference(5, 30))
+
+
+def test_power_table_grows_at_the_requested_precision():
+    """Many powers at a low precision, after a few at a high one, are built
+    at the low precision, not extended at the high one."""
+    with fresh_power_table():
+        _odd_delta_power_bits(9, 10**5)
+        pows = _odd_delta_power_bits(1000, 2000)
+        assert series._powers_precision == 2000 and len(series._powers) == 1000
+        assert pows == odd_delta_power_bits_reference(1000, 2000)
+
+
+def test_power_table_extends_without_holding_every_shifted_copy():
+    """One power at precision 10^6 is about 125 KB; the extension XORs the
+    shifted copies in one at a time instead of holding all of them."""
+    with fresh_power_table():
+        tracemalloc.start()
+        try:
+            _odd_delta_power_bits(3, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_power_table_under_threads():

@@ -114,6 +114,22 @@ def test_recurrence_columns_match_hecke_bits(p, n):
     assert hecke_matrix(p, n).cols == tuple(_direct_columns(p, n))
 
 
+@pytest.mark.parametrize("bit", [2, 2 * 8 + 4])
+def test_recurrence_columns_reject_any_even_bit(monkeypatch, bit):
+    """An even power of delta in T(5) is a stability violation, also one
+    above 2n - 2, where the packed columns cannot show it."""
+    n = 8
+    assert spaces._recurrence_columns(3, n) == list(hecke_matrix(3, n).cols)
+    real = spaces._hecke_polynomials
+
+    def planted(p):
+        for k, t in enumerate(real(p)):
+            yield t ^ 1 << bit if k == 5 else t
+    monkeypatch.setattr(spaces, "_hecke_polynomials", planted)
+    with pytest.raises(RuntimeError, match="stability violated"):
+        spaces._recurrence_columns(3, n)
+
+
 @pytest.mark.parametrize("p", sorted(MODULAR_EQUATIONS))
 def test_modular_equation_vanishes(p):
     """Phi_p(delta(q), delta(q^p)) = 0 through q^3000."""
