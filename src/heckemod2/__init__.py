@@ -15,8 +15,8 @@ from .series import (F2Series, PrecisionError, delta, delta_pow, hecke, mul,
 from .spaces import (DeltaCoords, GF2Matrix, NotInSpan, algebra_dimension,
                      check_divisibility, commutant_dimension,
                      expand_in_delta_basis, hecke_matrix, nilpotency_index)
-from .theta import (CompositionLaw, NoRepresentation, ThetaIndex, t_of_prime,
-                    theta_coords, theta_series)
+from .theta import (CompositionLaw, NoRepresentation, t_of_prime, theta_coords,
+                    theta_series)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "NoRepresentation",
     "NotInSpan",
     "PrecisionError",
-    "ThetaIndex",
     "algebra_dimension",
     "check_divisibility",
     "commutant_dimension",

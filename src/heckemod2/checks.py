@@ -535,7 +535,7 @@ def check_composition_compatibility(precision: int = 128) -> tuple[list[str], st
     built once at the deepest precision, max(primes)^2 * precision, and
     truncated to p * q * precision for the pair (p, q)."""
     bad = []
-    for c, primes in ((2, (3, 11, 17)), (4, (5, 13, 17))):
+    for c, primes in SPECIAL_RELATION_PRIMES.items():
         for n in (1, 2, 3):
             law = CompositionLaw(n, c)
             m = law.modulus

@@ -148,8 +148,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.precision is not None and args.precision < 0:
-        return _usage_error("--precision must be >= 0")
+    if args.precision is not None:
+        if args.precision < 0:
+            return _usage_error("--precision must be >= 0")
+        within_cap((args.precision + 1) // 2)
     results = run_suite(args.suite, precision=args.precision)
     failed = [r for r in results if not r.passed]
     for r in results:

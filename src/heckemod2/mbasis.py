@@ -25,11 +25,14 @@ from math import isqrt
 from .gf2 import apply_columns, bit_flags, even_bits, rank, spread_bits
 from .primes import is_odd_prime, odd_primes
 from .series import F2Series, _odd_delta_power_bits
-from .spaces import DeltaCoords, _greedy_expand, hecke_matrix
+from .spaces import DeltaCoords, expand_in_delta_basis, hecke_matrix
 
 MIndex = tuple[int, int]
 
 LEVEL_CAP = 8192
+# the most bits of delta powers (level times precision) a T_p table may
+# build: p_max = 10^7 at degree 2 and 10^6 at degree 24 stay below it
+POWER_BITS_CAP = 1 << 30
 # least working precision for the delta powers behind T_p expansions
 MIN_PRECISION = 1024
 
@@ -41,13 +44,17 @@ class LevelExhausted(RuntimeError):
     """A computation needs a level over the level cap."""
 
 
+def _shown(n: int):
+    """n, or a few words in place of a number too long to print."""
+    return n if n < 1 << 64 else "above 2^64"
+
+
 def within_cap(level: int) -> int:
     """`level`, if the level cap allows it; else LevelExhausted, with a
     message of a few dozen characters however large the level is."""
     if level > LEVEL_CAP:
-        shown = level if level < 1 << 64 else "above 2^64"
         raise LevelExhausted(
-            f"level {shown} needed, over the level cap {LEVEL_CAP}")
+            f"level {_shown(level)} needed, over the level cap {LEVEL_CAP}")
     return level
 
 
@@ -304,17 +311,11 @@ class MBasis:
 
     def _coerce(self, f) -> int:
         """Coordinates of f at the (possibly grown) current level."""
+        if isinstance(f, F2Series):
+            f = expand_in_delta_basis(f, (f.precision + 1) // 2)
         if isinstance(f, DeltaCoords):
             self.ensure_level(max(f.coords.bit_length(), 1))
             return f.coords
-        if isinstance(f, F2Series):
-            n = (f.precision + 1) // 2
-            if n < 1:
-                raise ValueError("series precision too small to expand")
-            pows = _odd_delta_power_bits(n, f.precision)
-            coords = _greedy_expand(f.bits, pows, n, f.precision)
-            self.ensure_level(max(coords.bit_length(), 1))
-            return coords
         raise TypeError(f"expected DeltaCoords or F2Series, got {type(f)!r}")
 
     def coefficients(self, f) -> frozenset[MIndex]:
@@ -378,31 +379,31 @@ class MBasis:
 
     # -- T_p as a series in x = T_3, y = T_5 ---------------------------------
 
-    def _expansions(self, p_max: int, degree: int):
-        """Yield (i, j) and the q-expansion of m(i,j) (coefficient of q^e
-        at bit e, correct through at least p_max) for every i + j <= degree,
-        one expansion at a time."""
-        self.ensure_degree(degree)
-        self.ensure_precision(p_max)
-        pows = _odd_delta_power_bits(degree_level(degree), self.precision)
-        for ij, coords in self._entries.items():
-            if ij[0] + ij[1] <= degree:
-                yield ij, apply_columns(pows, coords)
-
     def tp_table(self, p_max: int, degree: int) -> dict[int, frozenset[MIndex]]:
         """The monomials x^i y^j with coefficient 1 in T_p, up to total
         degree, for every odd prime p <= p_max, in ascending order of p.
 
         The coefficient of x^i y^j is the q^p coefficient of m(i,j), so each
         m(i,j) is expanded once, through q^p_max, and read at every prime
-        from the sieve."""
+        from the sieve.  A table whose delta powers would hold more than
+        POWER_BITS_CAP bits raises LevelExhausted before anything is built."""
+        # m(0, degree) alone rules out a degree too deep for the cap
+        within_cap(code_level(0, degree))
+        level = degree_level(degree)
+        bits = level * (p_max + 1)
+        if bits > POWER_BITS_CAP:
+            raise LevelExhausted(
+                f"{_shown(bits)} bits of delta powers needed, over the level "
+                f"cap's budget of {POWER_BITS_CAP} bits")
         primes = odd_primes(p_max)
+        self.ensure_degree(degree)
+        self.ensure_precision(p_max)
+        pows = _odd_delta_power_bits(level, self.precision)
         # bit k of masks[p] is the coefficient of the k-th monomial in T_p
         masks = dict.fromkeys(primes, 0)
-        monomials = []
-        for k, (ij, bits) in enumerate(self._expansions(p_max, degree)):
-            monomials.append(ij)
-            flags = bit_flags(bits, p_max + 1)
+        monomials = [ij for ij in self._entries if ij[0] + ij[1] <= degree]
+        for k, ij in enumerate(monomials):
+            flags = bit_flags(apply_columns(pows, self._entries[ij]), p_max + 1)
             for p in compress(primes, map(flags.__getitem__, primes)):
                 masks[p] |= 1 << k
         # few distinct T_p recur over many primes at a fixed degree, so
@@ -417,8 +418,7 @@ class MBasis:
         one prime of `tp_table`."""
         if not is_odd_prime(p):
             raise ValueError(f"expected an odd prime, got {p}")
-        return frozenset(ij for ij, bits in self._expansions(p, degree)
-                         if bits >> p & 1)
+        return self.tp_table(p, degree)[p]
 
     # -- injectivity witnesses ------------------------------------------------
 

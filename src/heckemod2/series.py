@@ -14,8 +14,7 @@ truncation of its delta power, so sharing it changes no result.
 from __future__ import annotations
 
 import threading
-from functools import reduce
-from operator import xor
+from math import isqrt
 
 from .gf2 import iter_bits, lowest_bit, spread_bits
 from .primes import is_odd_prime
@@ -115,12 +114,8 @@ class F2Series:
 def delta(precision: int) -> F2Series:
     """The generating series of odd squares: coefficient of q^k is 1 iff
     k = (2m+1)^2 for some m >= 0."""
-    bits = 0
-    m = 0
-    while (e := (2 * m + 1) ** 2) <= precision:
-        bits |= 1 << e
-        m += 1
-    return F2Series(bits, precision)
+    odd = range(1, isqrt(max(precision, 0)) + 1, 2)
+    return F2Series.from_exponents((o * o for o in odd), precision)
 
 
 def mul(f: F2Series, g: F2Series) -> F2Series:
@@ -189,7 +184,10 @@ def _odd_delta_power_bits(count: int, precision: int) -> list[int]:
             mask = _mask(precision)
             cur = _powers[-1]
             for _ in range(count - len(_powers)):
-                cur = reduce(xor, map(cur.__lshift__, shifts), 0) & mask
+                acc = 0
+                for s in shifts:
+                    acc ^= cur << s
+                cur = acc & mask
                 _powers.append(cur)
         return _powers[:count]
 

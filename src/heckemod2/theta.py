@@ -32,31 +32,6 @@ def _validate_c(c: int):
         raise ValueError(f"form parameter must be 2 or 4, got {c}")
 
 
-@dataclass(frozen=True)
-class ThetaIndex:
-    """Index (t mod 2^n, n) of a theta series for the form x^2 + c*y^2."""
-
-    t: int
-    n: int
-    c: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        _validate_c(self.c)
-        if not 0 <= self.t < (1 << self.n):
-            raise ValueError(f"t must be a residue mod 2^{self.n}")
-
-    @property
-    def modulus(self) -> int:
-        return 1 << self.n
-
-    def canonical(self) -> "ThetaIndex":
-        """Indices t and -t give the same series; store the smaller."""
-        return ThetaIndex(min(self.t, (self.modulus - self.t) % self.modulus),
-                          self.n, self.c)
-
-
 def theta_series(t: int, n: int, c: int, precision: int) -> F2Series:
     """q-expansion of the theta series of index (t, n), form x^2 + c*y^2."""
     _validate_c(c)
@@ -121,15 +96,10 @@ class CompositionLaw:
 
 
 def _invert_odd(d: int, n: int) -> int:
-    """Inverse of an odd residue mod 2^n by iterative lifting: each
-    Newton step x <- x(2 - dx) doubles the number of correct bits."""
+    """Inverse of an odd residue mod 2^n."""
     if d % 2 == 0:
         raise ValueError("only odd residues are invertible mod 2^n")
-    mask = (1 << n) - 1
-    x = 1
-    for _ in range(max(1, n.bit_length())):
-        x = (x * (2 - d * x)) & mask
-    return x
+    return pow(d, -1, 1 << n)
 
 
 def t_of_prime(p: int, n: int, c: int) -> int:

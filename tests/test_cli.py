@@ -102,6 +102,10 @@ HUGE = "9" * 4000
     (("theta-table", "--n-max", "8000"), None),
     (("theta-table", "--n-max", "1000000"), None),
     (("theta-table", "--precision", HUGE), None),
+    (("verify", "--suite", "theta", "--precision", "9" * 40), None),
+    (("verify", "--precision", "100000000"), None),
+    (("tp-table", "--p-max", "10000000000"), None),
+    (("tp-table", "--p-max", HUGE), None),
 ], ids=lambda x: "huge" if x == HUGE else None)
 def test_work_over_the_cap_fails_before_building(capsys, monkeypatch,
                                                  nothing_built, argv, stdin):

@@ -9,7 +9,7 @@ import pytest
 from heckemod2 import checks, theta
 from heckemod2.primes import odd_primes
 from heckemod2.series import F2Series, delta, delta_pow, hecke
-from heckemod2.theta import (CompositionLaw, NoRepresentation, ThetaIndex,
+from heckemod2.theta import (CompositionLaw, NoRepresentation,
                              representable_mask, t_of_prime, theta_coords,
                              theta_level, theta_series,
                              verify_composition_group,
@@ -79,17 +79,25 @@ def test_theta_special_values():
         assert theta_series(1 << (n - 2), n, 4, 4096) == delta_pow(e4, 4096)
 
 
-def test_theta_index_normalization():
-    idx = ThetaIndex(6, 3, 2)
-    assert idx.canonical() == ThetaIndex(2, 3, 2)
-    assert ThetaIndex(0, 1, 2).canonical().t == 0
-    with pytest.raises(ValueError):
-        ThetaIndex(8, 3, 2)
-    with pytest.raises(ValueError):
-        ThetaIndex(0, 1, 3)
-
-
 # -- composition law -----------------------------------------------------------
+
+
+def invert_odd_reference(d, n):
+    """Inverse of an odd residue mod 2^n by Newton lifting from x = 1:
+    each step x <- x(2 - dx) doubles the number of correct bits."""
+    mask = (1 << n) - 1
+    x = 1
+    for _ in range(max(1, n.bit_length())):
+        x = (x * (2 - d * x)) & mask
+    return x
+
+
+def test_invert_odd_matches_newton_lifting():
+    for n in range(1, 13):
+        for d in range(1, 1 << n, 2):
+            assert theta._invert_odd(d, n) == invert_odd_reference(d, n), (d, n)
+        with pytest.raises(ValueError):
+            theta._invert_odd(2, n)
 
 
 def test_compose_examples():
