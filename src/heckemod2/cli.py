@@ -127,7 +127,7 @@ def cmd_decompose(args) -> int:
     if not exponents or any(e < 1 or e % 2 == 0 for e in exponents):
         return _usage_error("exponents must be odd positive integers")
     table = MBasis()
-    table.ensure_level(max((max(exponents) + 1) // 2, 1))
+    table.ensure_level((max(exponents) + 1) // 2)
     coords = 0
     for e in exponents:
         coords ^= 1 << ((e - 1) // 2)

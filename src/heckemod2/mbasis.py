@@ -33,8 +33,6 @@ LEVEL_CAP = 8192
 # the most bits of delta powers (level times precision) a T_p table may
 # build: p_max = 10^7 at degree 2 and 10^6 at degree 24 stay below it
 POWER_BITS_CAP = 1 << 30
-# least working precision for the delta powers behind T_p expansions
-MIN_PRECISION = 1024
 
 # (i mod 2, j mod 2) forced on every monomial of T_p, by p mod 8
 PARITY_PATTERN = {1: (0, 0), 3: (1, 0), 5: (0, 1), 7: (1, 1)}
@@ -81,9 +79,14 @@ def code_level(a: int, b: int) -> int:
 
 
 def degree_level(degree: int) -> int:
-    """The least level holding every m(a,b) with a + b <= degree.  The
-    code exponent grows with a and with b, so it peaks on a + b = degree."""
-    return max(code_level(a, degree - a) for a in range(degree + 1))
+    """The least level holding every m(a,b) with a + b <= degree: that of
+    m(0, degree).  The code exponent grows with a and with b, so it peaks
+    on a + b = degree, where the digits of b sit in the higher Morton
+    slots.  Let 2^h be the top bit of degree.  If b has it, induct on
+    degree - 2^h.  If not, b < 2^h and a < 2^(h+1), so the code index
+    (k-1)/2 of m(a,b) is below 2^(2h+1), which that of m(0, degree)
+    reaches."""
+    return code_level(0, degree)
 
 
 # Morton masks on the index (k-1)/2 of delta^k: the digits of a sit at the
@@ -171,15 +174,14 @@ class MBasis:
     trivial kernel; entries are then solved from their parents by
     back-substitution on those columns.  A level over `LEVEL_CAP` raises
     LevelExhausted before anything is built.  Delta powers, for T_p
-    expansions, are taken at a working precision of at least
-    max(2*level - 1, MIN_PRECISION).  Construction is sequential; a
-    completed table is read-only for consumers.
+    expansions, are taken at the working precision: the largest q^p a
+    T_p read has asked for.  Construction is sequential; a completed
+    table is read-only for consumers.
     """
 
     def __init__(self):
         self._level = 0
-        self._degree = -1
-        self._min_precision = MIN_PRECISION
+        self._precision = 0
         self._entries: dict[MIndex, int] = {}
 
     # -- level / precision management -------------------------------------
@@ -191,7 +193,8 @@ class MBasis:
 
     @property
     def precision(self) -> int:
-        return max(2 * self._level - 1, self._min_precision)
+        """The working precision; 0 until a T_p is read."""
+        return self._precision
 
     def _rebuild(self):
         n = self._level
@@ -212,10 +215,8 @@ class MBasis:
             self._grow(level)
 
     def ensure_precision(self, precision: int):
-        """Raise the working precision to at least `precision`, at least
-        doubling it, so a run of rising requests regrows only O(log) times."""
-        if precision > self.precision:
-            self._min_precision = max(precision, 2 * self.precision)
+        """Raise the working precision to `precision`, if it is lower."""
+        self._precision = max(self._precision, precision)
 
     # -- table construction ------------------------------------------------
 
@@ -278,34 +279,24 @@ class MBasis:
         self._entries[(a, b)] = self._solve(a, b)
 
     def ensure_degree(self, degree: int):
-        """Solve every m(a,b) with a + b <= degree, at a level computed
-        once per new degree."""
-        if degree <= self._degree:
-            return
-        # m(0, degree) alone rules out a degree too deep for the cap
-        within_cap(code_level(0, degree))
+        """Solve every m(a,b) with a + b <= degree, at one level."""
         self.ensure_level(degree_level(degree))
         for d in range(degree + 1):
             for a in range(d, -1, -1):
                 self.ensure(a, d - a)
-        self._degree = degree
 
     def element(self, a: int, b: int) -> DeltaCoords:
         self.ensure(a, b)
         return DeltaCoords(self._entries[(a, b)], self._level)
 
-    def series(self, a: int, b: int, precision: int | None = None) -> F2Series:
-        """q-expansion of m(a,b), at the table precision by default."""
-        self.ensure(a, b)
-        if precision is None:
-            precision = self.precision
-        return DeltaCoords(self._entries[(a, b)], self._level).to_series(precision)
+    def series(self, a: int, b: int, precision: int) -> F2Series:
+        """q-expansion of m(a,b) through q^precision."""
+        return self.element(a, b).to_series(precision)
 
     def dominant_exponent(self, a: int, b: int) -> int:
         """Largest exponent in the delta-basis support of m(a,b), read off
         the solved entry."""
-        self.ensure(a, b)
-        return 2 * (self._entries[(a, b)].bit_length() - 1) + 1
+        return self.element(a, b).dominant_exponent()
 
     # -- dual expansion ------------------------------------------------------
 
@@ -387,9 +378,7 @@ class MBasis:
         m(i,j) is expanded once, through q^p_max, and read at every prime
         from the sieve.  A table whose delta powers would hold more than
         POWER_BITS_CAP bits raises LevelExhausted before anything is built."""
-        # m(0, degree) alone rules out a degree too deep for the cap
-        within_cap(code_level(0, degree))
-        level = degree_level(degree)
+        level = within_cap(degree_level(degree))
         bits = level * (p_max + 1)
         if bits > POWER_BITS_CAP:
             raise LevelExhausted(

@@ -105,8 +105,6 @@ MODULAR_EQUATIONS = {
     5: frozenset({(6, 0), (4, 2), (2, 4), (1, 1), (0, 6)}),
     7: frozenset({(8, 0), (2, 2), (1, 1), (0, 8)}),
 }
-# primes whose columns come from the recurrence, not from q-expansions
-RECURRENCE_PRIMES = (3, 5)
 
 
 def _hecke_polynomials(p: int):
@@ -163,15 +161,16 @@ def _direct_columns(p: int, n: int) -> list[int]:
 
 def _checked_columns(p: int, n: int) -> tuple[int, ...]:
     """Columns of T_p on the level-n space: column k is the image of
-    delta^(2k+1).  T_3 and T_5 come from their modular-equation recurrence,
-    every other prime from q-expansions.  Stability of the level and
-    strict triangularity are checked and violations abort loudly: either
-    would be an arithmetic bug, not a mathematical possibility."""
+    delta^(2k+1).  The primes of MODULAR_EQUATIONS come from their
+    recurrence, every other prime from q-expansions.  Stability of the
+    level and strict triangularity are checked and violations abort
+    loudly: either would be an arithmetic bug, not a mathematical
+    possibility."""
     if not is_odd_prime(p):
         raise ValueError(f"Hecke matrix requires an odd prime, got {p}")
     if n < 1:
         raise ValueError("level must be >= 1")
-    build = _recurrence_columns if p in RECURRENCE_PRIMES else _direct_columns
+    build = _recurrence_columns if p in MODULAR_EQUATIONS else _direct_columns
     cols = tuple(build(p, n))
     for k, c in enumerate(cols):
         if c >> k:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .gf2 import Span, rank
-from .mbasis import MBasis, code_level
+from .mbasis import MBasis, MIndex, code_exponent, code_level
 from .primes import is_odd_prime
 from .series import F2Series, delta, delta_pow, hecke
 from .spaces import DeltaCoords, expand_in_delta_basis, hecke_matrix, kernel
@@ -58,13 +58,18 @@ def theta_coords(t: int, n: int, c: int, level: int) -> DeltaCoords:
     return expand_in_delta_basis(theta_series(t, n, c, 2 * level - 1), level)
 
 
+def boundary(i: int, c: int) -> MIndex:
+    """The i-th index of the m-basis boundary row that the theta families
+    of form parameter c span: (i, 0) for c = 2, (0, i) for c = 4."""
+    return (i, 0) if c == 2 else (0, i)
+
+
 def theta_level(n: int, c: int) -> int:
     """The least level holding the whole family of index n: it spans the
-    same space as m(a,0) (c = 2), resp. m(0,b) (c = 4), with index below
-    2^(n-1), and the last of those has the largest code."""
+    same space as the boundary entries m(boundary(i, c)), i < 2^(n-1), and
+    the last of those has the largest code."""
     _validate_c(c)
-    top = (1 << (n - 1)) - 1
-    return code_level(top, 0) if c == 2 else code_level(0, top)
+    return code_level(*boundary((1 << (n - 1)) - 1, c))
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,7 @@ def verify_theta_identities(n: int, c: int, precision: int) -> bool:
         if family[t] + family[(half - t) % modulus] != down[t % half]:
             return False
     if n >= 2:
-        e = 1 + (1 << (2 * n - 3)) if c == 2 else 1 + (1 << (2 * n - 2))
+        e = code_exponent(*boundary(1 << (n - 2), c))
         if e <= precision and family[modulus // 4] != delta_pow(e, precision):
             return False
     return True
@@ -200,11 +205,10 @@ def verify_span_equality(n: int, c: int) -> bool:
     that level."""
     _validate_c(c)
     half = 1 << (n - 1)
-    indices = [(a, 0) for a in range(half)] if c == 2 else [(0, b) for b in range(half)]
     level = theta_level(n, c)
     table = MBasis()
     table.ensure_level(level)
-    m_rows = [table.element(*ab).coords for ab in indices]
+    m_rows = [table.element(*boundary(i, c)).coords for i in range(half)]
     theta_rows = [
         theta_coords(t, n, c, 2 * level).coords for t in range(half + 1)
     ]
@@ -232,8 +236,10 @@ def representable_mask(c: int, precision: int) -> int:
 def verify_kernel_characterization(n_level: int, c: int, precision: int) -> bool:
     """The kernel of T_5 (form parameter 2) resp. T_3 (form parameter 4)
     on the level-n_level space: every kernel vector has q-support inside
-    the representable integers and lies in the span of a single
-    sufficiently deep theta family."""
+    the representable integers and lies in the span of the theta family
+    of the least index n >= 2 with 2^(n-1) >= the kernel's dimension d:
+    the kernel is spanned by the boundary entries m(boundary(i, c)),
+    i < d, and that family spans those with i < 2^(n-1)."""
     _validate_c(c)
     op = 5 if c == 2 else 3
     basis = kernel(hecke_matrix(op, n_level))
@@ -241,15 +247,11 @@ def verify_kernel_characterization(n_level: int, c: int, precision: int) -> bool
     for v in basis:
         if DeltaCoords(v, n_level).to_series(precision).bits & ~mask:
             return False
-    for depth in range(2, 9):
-        level = theta_level(depth, c)
-        span = Span(
-            theta_coords(t, depth, c, level).coords
-            for t in range(1 << (depth - 1))
-        )
-        if all(span.contains(v) for v in basis):
-            return True
-    return False
+    depth = max(2, (len(basis) - 1).bit_length() + 1)
+    level = theta_level(depth, c)
+    span = Span(theta_coords(t, depth, c, level).coords
+                for t in range(1 << (depth - 1)))
+    return all(span.contains(v) for v in basis)
 
 
 def verify_composition_group(n: int, c: int) -> bool:

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from heckemod2 import checks, mbasis, series, spaces
 from heckemod2.gf2 import GF2Matrix, LinearSolver, rank
-from heckemod2.mbasis import (LevelExhausted, MBasis, code_exponent, code_of,
-                              degree_level, frobenian_report,
-                              odd_b_representations, parity_pattern_holds,
-                              stacked_kernel_is_trivial)
+from heckemod2.mbasis import (LevelExhausted, MBasis, code_exponent,
+                              code_level, code_of, degree_level,
+                              frobenian_report, odd_b_representations,
+                              parity_pattern_holds, stacked_kernel_is_trivial)
 from heckemod2.primes import is_odd_prime, odd_primes
 from heckemod2.series import F2Series, _odd_delta_power_bits, delta_pow, hecke
 from heckemod2.spaces import DeltaCoords, hecke_matrix
@@ -40,7 +40,7 @@ def test_m_power_families(mtable):
 
 def test_shift_action_on_q_expansions(mtable):
     """T_3 and T_5 shift the indices; verified on series, not by construction."""
-    prec = mtable.precision // 5
+    prec = 204
     for d in range(5):
         for a in range(d + 1):
             b = d - a
@@ -317,6 +317,22 @@ def test_degree_level_is_the_largest_dominant_exponent(mtable):
         assert degree_level(degree) == (top + 1) // 2, degree
 
 
+@given(st.integers(0, (1 << 64) - 1), st.integers(0, (1 << 64) - 1))
+@settings(max_examples=200, deadline=None)
+def test_no_entry_of_a_degree_outgrows_m_0_degree(a, b):
+    assert code_level(a, b) <= code_level(0, a + b)
+
+
+def degree_level_reference(degree):
+    """The largest code level on a + b = degree, by a loop over a."""
+    return max(code_level(a, degree - a) for a in range(degree + 1))
+
+
+def test_degree_level_matches_the_loop_over_a():
+    for degree in range(200):
+        assert degree_level(degree) == degree_level_reference(degree), degree
+
+
 def test_degree_levels_of_deep_tables():
     assert [degree_level(d) for d in (24, 32, 63, 64)] == [641, 2049, 2731, 8193]
 
@@ -440,6 +456,23 @@ def own_delta_powers(monkeypatch):
     precision do not stay in the shared one for later tests."""
     monkeypatch.setattr(series, "_powers", [])
     monkeypatch.setattr(series, "_powers_precision", -1)
+
+
+def test_tp_table_works_at_exactly_p_max(own_delta_powers):
+    table = MBasis()
+    table.tp_table(17, 12)
+    assert table.precision == 17
+    assert series._powers_precision == 17
+
+
+def test_precision_rises_to_exactly_the_request():
+    table = MBasis()
+    assert table.precision == 0
+    table.ensure_precision(30)
+    table.ensure_precision(45)
+    assert table.precision == 45
+    table.ensure_precision(10)
+    assert table.precision == 45
 
 
 def test_frobenian_criteria_below_a_million(own_delta_powers):

@@ -106,11 +106,11 @@ def test_hecke_matrix_examples():
     assert m53.apply(0b011) == 0
 
 
-@given(st.sampled_from((3, 5)), st.integers(1, 512))
+@given(st.sampled_from(sorted(MODULAR_EQUATIONS)), st.integers(1, 512))
 @settings(max_examples=40, deadline=None)
 def test_recurrence_columns_match_hecke_bits(p, n):
-    """T_3 and T_5 from the modular-equation recurrence equal the columns
-    read off q-expansions through _hecke_bits."""
+    """T_p from its modular-equation recurrence equals the columns read
+    off q-expansions through _hecke_bits, for every prime with one."""
     assert hecke_matrix(p, n).cols == tuple(_direct_columns(p, n))
 
 

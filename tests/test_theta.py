@@ -430,6 +430,20 @@ def test_kernel_characterization():
         assert verify_kernel_characterization(8, c, 1024)
 
 
+def test_kernel_characterization_expands_only_the_predicted_family(monkeypatch):
+    """The T_5 kernel at level 8 has dimension 4 = 2^(3-1), so the family
+    of index 3 is the only one expanded."""
+    depths = []
+    real = theta.theta_coords
+
+    def spy(t, n, c, level):
+        depths.append(n)
+        return real(t, n, c, level)
+    monkeypatch.setattr(theta, "theta_coords", spy)
+    assert verify_kernel_characterization(8, 2, 1024)
+    assert depths == [3] * 4
+
+
 def test_theta_support_representable():
     # condition 3: the q-support of any kernel element is representable
     for t in range(4):
