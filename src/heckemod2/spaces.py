@@ -141,17 +141,39 @@ def _recurrence_columns(p: int, n: int) -> list[int]:
     return cols
 
 
+# p -> T_p delta^(2k+1) for k below the largest level N built so far, each
+# exact through q^(2N-1).  No lock: every stored tuple is exact, so a race
+# between two threads only repeats work.
+_images: dict[int, tuple[int, ...]] = {}
+
+
+def _hecke_images(p: int, n: int) -> tuple[int, ...]:
+    """T_p delta^(2k+1) for k = 0..N-1 with N >= n, each exact through
+    q^(2N-1).  Since a_j(T_p f) reads only a_pj and a_(j/p), the delta
+    powers at precision p(2N-1) fix these bits, and bits 0..2n-1 of an
+    image are the same at every N >= n.  A stored tuple of n or more
+    images is reused; a shorter one is rebuilt at exactly n."""
+    images = _images.get(p, ())
+    if len(images) < n:
+        big = p * (2 * n - 1)
+        images = tuple(_hecke_bits(p, bits, big)[0]
+                       for bits in _odd_delta_power_bits(n, big))
+        _images[p] = images
+    return images
+
+
 def _direct_columns(p: int, n: int) -> list[int]:
-    """Columns of T_p on the level-n space from q-expansions: the delta
-    powers are taken at precision p(2n-1) so each Hecke image is known up
-    to 2n-1, then expanded back in the delta basis."""
-    big = p * (2 * n - 1)
-    pows = _odd_delta_power_bits(n, big)
+    """Columns of T_p on the level-n space from q-expansions: the first n
+    images of `_hecke_images`, truncated at q^(2n-1), expanded back in the
+    delta basis.  Every level runs its own stability certificate on that
+    truncation, whether the images were built for it or for a larger
+    level."""
+    images = _hecke_images(p, n)
+    pows = _odd_delta_power_bits(n, 2 * n - 1)
     cols = []
     for k in range(n):
-        hbits, hprec = _hecke_bits(p, pows[k], big)
         try:
-            cols.append(_greedy_expand(hbits, pows, n, hprec))
+            cols.append(_greedy_expand(images[k], pows, n, 2 * n - 1))
         except NotInSpan as exc:
             raise RuntimeError(
                 f"stability violated: T_{p} delta^{2 * k + 1} left level {n} ({exc})"

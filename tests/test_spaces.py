@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from heckemod2 import spaces
 from heckemod2.gf2 import GF2Matrix, Span, rank
-from heckemod2.series import (F2Series, PrecisionError, _mask, delta,
-                              delta_pow, hecke)
+from heckemod2.primes import odd_primes
+from heckemod2.series import (F2Series, PrecisionError, _hecke_bits, _mask,
+                              _odd_delta_power_bits, delta, delta_pow, hecke)
 from heckemod2.spaces import (MODULAR_EQUATIONS, AlgebraSpan, DeltaCoords,
                               NotInSpan, _direct_columns, _greedy_expand,
                               algebra_dimension, check_divisibility,
@@ -106,12 +107,87 @@ def test_hecke_matrix_examples():
     assert m53.apply(0b011) == 0
 
 
+def direct_columns_reference(p, n):
+    """Reference: columns of T_p on the level-n space built for this level
+    alone, the delta powers taken at precision p(2n-1) so each Hecke image
+    is known up to 2n-1, then expanded back in the delta basis."""
+    big = p * (2 * n - 1)
+    pows = _odd_delta_power_bits(n, big)
+    cols = []
+    for k in range(n):
+        hbits, hprec = _hecke_bits(p, pows[k], big)
+        try:
+            cols.append(_greedy_expand(hbits, pows, n, hprec))
+        except NotInSpan as exc:
+            raise RuntimeError(
+                f"stability violated: T_{p} delta^{2 * k + 1} left level {n} ({exc})"
+            ) from exc
+    return cols
+
+
 @given(st.sampled_from(sorted(MODULAR_EQUATIONS)), st.integers(1, 512))
 @settings(max_examples=40, deadline=None)
 def test_recurrence_columns_match_hecke_bits(p, n):
     """T_p from its modular-equation recurrence equals the columns read
     off q-expansions through _hecke_bits, for every prime with one."""
-    assert hecke_matrix(p, n).cols == tuple(_direct_columns(p, n))
+    assert hecke_matrix(p, n).cols == tuple(direct_columns_reference(p, n))
+
+
+@given(st.sampled_from(odd_primes(97)),
+       st.lists(st.integers(1, 64), min_size=1, max_size=6, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_columns_match_the_per_level_reference_in_any_order(p, levels):
+    """Whatever order the levels are asked for in, from an empty memo and
+    an empty matrix cache, every matrix and every q-expansion column list
+    equals the one built for its level alone."""
+    hecke_matrix.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_images", {})
+        for n in levels:
+            want = tuple(direct_columns_reference(p, n))
+            assert hecke_matrix(p, n).cols == want
+            assert tuple(_direct_columns(p, n)) == want
+
+
+def test_a_level_served_from_the_memo_is_certified_again(monkeypatch):
+    """An even power of delta planted in one stored level-16 image is
+    caught at level 8, which reads that image from the memo."""
+    monkeypatch.setattr(spaces, "_images", {})
+    images = list(spaces._hecke_images(11, 16))
+    assert len(images) == 16
+    images[3] ^= 1 << 2
+    spaces._images[11] = tuple(images)
+    with pytest.raises(RuntimeError, match=r"stability violated: T_11 "
+                       r"delta\^7 left level 8 \(even leading exponent 2\)"):
+        _direct_columns(11, 8)
+
+
+def test_each_prime_reads_its_hecke_images_once(monkeypatch):
+    """Descending levels read the q-expansions once, at the first (largest)
+    level; ascending ones read no more than building each level alone
+    (1 + 2 + ... + 8); a level already covered reads none."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _hecke_bits(*args)
+    monkeypatch.setattr(spaces, "_hecke_bits", spy)
+    monkeypatch.setattr(spaces, "_images", {})
+    hecke_matrix.cache_clear()
+    for n in range(64, 0, -1):
+        hecke_matrix(11, n)
+    assert len(calls) == 64
+    spaces._images.clear()
+    hecke_matrix.cache_clear()
+    calls.clear()
+    for n in range(1, 9):
+        hecke_matrix(11, n)
+    assert len(calls) <= 36
+    hecke_matrix.cache_clear()
+    calls.clear()
+    for n in range(8, 0, -1):
+        hecke_matrix(11, n)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bit", [2, 2 * 8 + 4])
@@ -171,10 +247,12 @@ def test_strict_triangularity():
             assert m.cols[k] >> k == 0  # delta^(2k+1) -> lower powers only
 
 
-def test_levels_nest():
-    big = hecke_matrix(7, 32)
+@pytest.mark.parametrize("p", [7, 11, 97])
+def test_levels_nest(p):
+    """Nested levels for a modular-equation prime and q-expansion ones."""
+    big = hecke_matrix(p, 32)
     for n in (1, 2, 5, 12, 31):
-        assert hecke_matrix(7, n).cols == big.cols[:n]
+        assert hecke_matrix(p, n).cols == big.cols[:n]
 
 
 # -- algebra dimension -------------------------------------------------------------
