@@ -556,7 +556,9 @@ def check_composition_compatibility(precision: int = 128) -> tuple[list[str], st
 
 @_check("composition-groups")
 def check_composition_groups() -> tuple[list[str], str]:
-    """(Z/2^n, *) is an abelian group, cyclic of order 2^n, for both laws."""
+    """(Z/2^n, *) is an abelian group, cyclic of order 2^n, for both laws:
+    each is certified in O(2^n) steps through the classes 1 + xt of
+    (Z/2^n)[t]/(t^2 + c) (see `verify_composition_group`)."""
     bad = [
         f"n={n} c={c}"
         for n in range(1, 11) for c in (2, 4)

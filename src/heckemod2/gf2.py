@@ -59,6 +59,26 @@ def apply_columns(cols: Sequence[int], v: int) -> int:
     return reduce(xor, compress(cols, flags), 0)
 
 
+def column_stride(n: int) -> int:
+    """Bit j*n for j = 0..n-1, bit 0 of every column of an n x n matrix
+    flattened column-major: the repunit 11...1 in base 2^n."""
+    return ((1 << n * n) - 1) // ((1 << n) - 1)
+
+
+def flat_product(cols: Sequence[int], v: int, stride: int) -> int:
+    """Flattened product g*m of the n x n matrix g with columns `cols` and
+    the matrix m flattened column-major into v; `stride` is
+    `column_stride(n)`.  (v >> i) & stride holds bit i of every column of
+    m, one in each n-bit slot, so multiplying it by cols[i] < 2^n places a
+    copy of column i of g in those slots without carries: the XOR over i
+    is column j of g*m in slot j."""
+    acc = 0
+    for i, c in enumerate(cols):
+        if c:
+            acc ^= c * ((v >> i) & stride)
+    return acc
+
+
 class Span:
     """Incremental echelon basis of a GF(2) subspace, keyed by highest bits.
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .gf2 import (GF2Matrix, Span, apply_columns, even_bits, iter_bits,
-                  lowest_bit, rank)
+from .gf2 import (GF2Matrix, Span, apply_columns, column_stride, even_bits,
+                  flat_product, iter_bits, lowest_bit, rank)
 from .primes import is_odd_prime
 from .series import F2Series, PrecisionError, _hecke_bits, _mask, _odd_delta_power_bits
 
@@ -210,22 +210,26 @@ def hecke_matrix(p: int, n: int) -> GF2Matrix:
 
 
 class AlgebraSpan:
-    """Echelonized span of the unital algebra generated by Hecke matrices."""
+    """Echelonized span of the unital algebra generated by Hecke matrices.
+
+    Words are kept flattened column-major, as `GF2Matrix.to_vector` lays
+    them out, and multiplied by a generator on the left with
+    `flat_product`, one carry-free product per column of the generator."""
 
     def __init__(self, n: int, generators: tuple[int, ...]):
         if not generators:
             raise ValueError("need at least one generator prime")
         self.n = n
         self.generators = tuple(sorted(set(generators)))
-        gens = [hecke_matrix(p, n) for p in self.generators]
-        queue = [GF2Matrix.identity(n)]
-        self._span = Span([queue[0].to_vector()])
+        gens = [hecke_matrix(p, n).cols for p in self.generators]
+        stride = column_stride(n)
+        queue = [GF2Matrix.identity(n).to_vector()]
+        self._span = Span(queue)
         while queue:
-            m = queue.pop()
+            word = queue.pop()
             for g in gens:
-                # same words as g on the right; costs the bits of m's columns
-                prod = g.mul(m)
-                if self._span.add(prod.to_vector()):
+                prod = flat_product(g, word, stride)
+                if self._span.add(prod):
                     queue.append(prod)
 
     @property
@@ -233,6 +237,8 @@ class AlgebraSpan:
         return self._span.dimension
 
     def contains(self, m: GF2Matrix) -> bool:
+        if m.n != self.n:
+            raise ValueError("dimension mismatch")
         return self._span.contains(m.to_vector())
 
 
@@ -248,7 +254,7 @@ def commutant_dimension(n: int) -> int:
     endomorphism algebra, by solving the linear system in n^2 unknowns."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    stride = sum(1 << (k * n) for k in range(n))
+    stride = column_stride(n)
     rows = []
     for p in (3, 5):
         a = hecke_matrix(p, n)

@@ -255,33 +255,32 @@ def verify_kernel_characterization(n_level: int, c: int, precision: int) -> bool
 
 
 def verify_composition_group(n: int, c: int) -> bool:
-    """Certificate that (Z/2^n, *) is a cyclic group of order 2^n.
+    """Certificate that (Z/2^n, *) is a cyclic group of order 2^n, in
+    O(2^n) steps.
 
-    phi(k) = 1*1*...*1 (k factors) is walked by m - 1 steps of x -> x*1.
-    If phi is a bijection of Z/2^n and phi(k)*phi(l) = phi(k+l) for every
-    ordered pair, then * is addition mod 2^n carried over by phi, so the
-    identity, commutativity and associativity all follow.  The formula
-    (x+y) * inv(1-cxy) is symmetric in x and y whatever the inverse table
-    holds, so the pairs l >= k cover every ordered pair.  Each row
-    phi(k)*phi(l), l >= k, is built and compared on its own, so memory
-    stays O(2^n).  Last, the inverse that `verify_hecke_on_theta` uses is
-    checked directly.
+    In R = (Z/m)[t]/(t^2 + c), m = 2^n, the norm form is a^2 + c*b^2, so
+    the units U of R are the a + bt with a odd, and
+    (1 + xt)(1 + yt) = (1 - cxy) + (x + y)t.  Every denominator 1 - cxy is
+    1 mod c, so once `_invert_odd` is exact on the residues d = 1 mod c,
+    `CompositionLaw.compose` is exactly the formula and [1 + xt] -> x maps
+    the abelian group U/(Z/m)^x bijectively onto (Z/m, *) (a unit a + bt
+    is a * (1 + (b/a)t), and 1 + xt = u(1 + yt) forces u = 1, x = y).  So
+    * is an abelian group law with identity 0.  The class of
+    (1 + t)^k = a_k + b_k t is [1 + phi(k)t], phi(k) = b_k/a_k, the k-th
+    power of 1 under *: if phi(0..m-1) are pairwise distinct and b_m = 0,
+    then [1 + t] has order exactly m and the group is cyclic, generated by
+    1.  Last, the inverse that `verify_hecke_on_theta` uses is checked
+    directly.
     """
     law = CompositionLaw(n, c)
     m = law.modulus
-    inv_odd = [0] * m
-    for d in range(1, m, 2):
-        inv_odd[d] = _invert_odd(d, n)
-    phi = [0]
-    for _ in range(m - 1):
-        x = phi[-1]
-        phi.append(((x + 1) * inv_odd[(1 - c * x) % m]) % m)
-    if sorted(phi) != list(range(m)):
+    if any(d * _invert_odd(d, n) % m != 1 for d in range(1, m, c)):
         return False
-    twice = phi + phi
-    for k, x in enumerate(phi):
-        cx = c * x
-        row = [((x + y) * inv_odd[(1 - cx * y) % m]) % m for y in phi[k:]]
-        if row != twice[2 * k:k + m]:
-            return False
+    phi = set()
+    a, b = 1, 0
+    for _ in range(m):
+        phi.add(b * _invert_odd(a, n) % m)
+        a, b = (a - c * b) % m, (a + b) % m
+    if len(phi) != m or b:
+        return False
     return all(law.compose(x, law.inverse(x)) == 0 for x in range(m))

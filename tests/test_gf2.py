@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckemod2.gf2 import (GF2Matrix, LinearSolver, Span, apply_columns,
-                           bit_flags, iter_bits, lowest_bit, rank)
+                           bit_flags, column_stride, flat_product, iter_bits,
+                           lowest_bit, rank)
 from heckemod2.spaces import kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heckemod2"
@@ -179,6 +180,28 @@ def test_matrix_mul_against_entrywise():
                 for k in range(n):
                     want ^= a.entry(i, k) & b.entry(k, j)
                 assert c.entry(i, j) == want
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two n x n matrices, n <= 64, with dense, single-bit and zero columns
+    anywhere, so neither need be triangular."""
+    n = draw(st.integers(1, 64))
+    column = st.one_of(st.just(0), st.integers(0, n - 1).map(lambda i: 1 << i),
+                       st.integers(0, (1 << n) - 1))
+    g, m = (GF2Matrix(draw(st.lists(column, min_size=n, max_size=n)), n)
+            for _ in range(2))
+    return g, m
+
+
+@given(matrix_pairs())
+@settings(max_examples=200, deadline=None)
+def test_flat_product_against_matrix_mul(pair):
+    g, m = pair
+    n = g.n
+    assert column_stride(n) == sum(1 << (j * n) for j in range(n))
+    assert flat_product(g.cols, m.to_vector(), column_stride(n)) == \
+        g.mul(m).to_vector()
 
 
 @given(st.one_of(

@@ -325,6 +325,49 @@ def test_algebra_span_against_right_closure(monkeypatch):
         assert all(span.contains(w) for w in want)
 
 
+def algebra_span_reference(n, generators):
+    """The closure on GF2Matrix words: the same queue order as
+    `AlgebraSpan`, each product built column by column with `mul`."""
+    gens = [hecke_matrix(p, n) for p in sorted(set(generators))]
+    queue = [GF2Matrix.identity(n)]
+    span = Span([queue[0].to_vector()])
+    while queue:
+        m = queue.pop()
+        for g in gens:
+            prod = g.mul(m)
+            if span.add(prod.to_vector()):
+                queue.append(prod)
+    return span
+
+
+def test_algebra_span_echelon_matches_matrix_closure():
+    """The flat-word closure builds a bit-identical echelon: for (T_3, T_5)
+    up to level 32 and every generation-by-pairs pair up to level 16."""
+    ps = [p for p in odd_primes(37) if p % 8 == 3]
+    qs = [p for p in odd_primes(37) if p % 8 == 5]
+    cases = [((3, 5), n) for n in range(1, 33)]
+    cases += [((p, q), n) for n in range(1, 17) for p in ps for q in qs]
+    for gens, n in cases:
+        want = algebra_span_reference(n, gens)._pivots
+        assert AlgebraSpan(n, gens)._span._pivots == want, (gens, n)
+
+
+def test_algebra_span_makes_no_matrix_products(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("AlgebraSpan multiplied GF2Matrix words")
+
+    monkeypatch.setattr(GF2Matrix, "mul", refuse)
+    for n in (1, 8, 24):
+        assert AlgebraSpan(n, (3, 5)).dimension == n
+
+
+def test_algebra_span_contains_rejects_other_sizes():
+    span = AlgebraSpan(4, (3, 5))
+    for m in (GF2Matrix.zero(2), GF2Matrix.identity(5)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            span.contains(m)
+
+
 def test_algebra_requires_generators():
     with pytest.raises(ValueError):
         algebra_dimension(4, ())

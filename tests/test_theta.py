@@ -1,6 +1,7 @@
 """Theta families: tables, identities, composition laws, Hecke action."""
 
 import random
+import sys
 import tracemalloc
 from math import isqrt
 
@@ -181,18 +182,22 @@ def composition_group_reference(n, c):
 
 
 def test_verify_composition_group():
-    for n in range(1, 9):
+    for n in range(1, 15):
         for c in (2, 4):
             assert verify_composition_group(n, c), (n, c)
             if n <= 7:
                 assert composition_group_reference(n, c), (n, c)
 
 
-def test_composition_certificate_matches_reference_on_corrupted_laws(monkeypatch):
-    """Shift the inverse of one odd residue d mod 2^n by every nonzero s:
-    the certificate and the reference accept and reject the same laws."""
+def test_composition_certificate_on_corrupted_laws(monkeypatch):
+    """Shift the inverse of one odd residue `bad` mod 2^n by every nonzero
+    s.  The law only ever inverts denominators 1 - cxy = 1 mod c, so the
+    certificate rejects exactly the corruptions of a residue bad = 1 mod
+    c, and whatever it accepts the exhaustive reference accepts too.
+    Some corrupted laws still happen to be cyclic groups; those are
+    rejected as well, since the law is no longer the formula."""
     invert = theta._invert_odd
-    rejected = 0
+    cases = still_groups = 0
     for n in range(1, 6):
         m = 1 << n
         for c in (2, 4):
@@ -202,9 +207,46 @@ def test_composition_certificate_matches_reference_on_corrupted_laws(monkeypatch
                         theta, "_invert_odd",
                         lambda d, k: (invert(d, k) + shift * (d == bad)) % (1 << k))
                     got = verify_composition_group(n, c)
-                    assert got == composition_group_reference(n, c), (n, c, bad, shift)
-                    rejected += not got
-    assert rejected > 0
+                    want = composition_group_reference(n, c)
+                    assert want or not got, (n, c, bad, shift)
+                    assert got == (bad % c != 1), (n, c, bad, shift)
+                    cases += 1
+                    still_groups += want and not got
+    assert cases == 1302
+    assert still_groups > 0
+
+
+def test_composition_certificate_is_linear(monkeypatch):
+    """At n = 10 the certificate composes at most 2 * 2^n times and runs at
+    most 32 * 2^n lines of theta.py (the pairwise table ran over 500 * 2^n,
+    whether or not it called `compose`): a return to the quadratic path
+    fails here without any timing."""
+    calls = lines = 0
+    compose = CompositionLaw.compose
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return compose(self, x, y)
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename != theta.__file__:
+            return None
+        lines += event == "line"
+        return tracer
+
+    monkeypatch.setattr(CompositionLaw, "compose", counted)
+    for c in (2, 4):
+        calls = lines = 0
+        outer = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            assert verify_composition_group(10, c)
+        finally:
+            sys.settrace(outer)
+        assert 0 < calls <= 2 << 10, (c, calls)
+        assert lines <= 32 << 10, (c, lines)
 
 
 def test_composition_group_rejects_bad_parameters():
@@ -215,7 +257,7 @@ def test_composition_group_rejects_bad_parameters():
 
 
 def test_composition_group_memory_is_linear():
-    """The certificate streams one row at a time: at n = 8 it stays far
+    """The certificate keeps one value per residue: at n = 8 it stays far
     below the 256 x 256 table of the exhaustive reference."""
     tracemalloc.start()
     try:
