@@ -16,10 +16,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
 
-from .gf2 import GF2Matrix, lowest_bit, rank
-from .mbasis import (MBasis, code_exponent, code_level, frobenian_report,
-                     odd_b_representations, parity_pattern_holds,
-                     stacked_kernel_is_trivial)
+from .gf2 import lowest_bit, parity, rank
+from .mbasis import (MBasis, chain_coefficients, code_exponent, code_level,
+                     frobenian_report, odd_b_representations,
+                     parity_pattern_holds, stacked_kernel_is_trivial)
 from .primes import odd_prime_factors, odd_primes
 from .series import F2Series, delta_pow, hecke
 from .spaces import (AlgebraSpan, DeltaCoords, check_divisibility,
@@ -107,21 +107,13 @@ def check_m_table() -> tuple[list[str], str]:
     table = MBasis()
     # m(0,8), the deepest entry read, fixes the one level built
     table.ensure_level(code_level(0, 8))
-    bad = []
-    for (a, b), want in M_TABLE_SMALL.items():
-        got = table.element(a, b).support_exponents()
-        if got != want:
-            bad.append(f"m({a},{b})={got}!={want}")
+    cases = list(M_TABLE_SMALL.items())
     for r in range(4):
-        tests = [
-            ((2 ** r, 0), (1 + 2 ** (2 * r + 1),)),
-            ((2 ** r - 1, 0), ((1 + 2 ** (2 * r + 1)) // 3,)),
-            ((0, 2 ** r), (1 + 2 ** (2 * r + 2),)),
-        ]
-        for (a, b), want in tests:
-            got = table.element(a, b).support_exponents()
-            if got != want:
-                bad.append(f"m({a},{b})={got}!={want}")
+        cases += [((2 ** r, 0), (1 + 2 ** (2 * r + 1),)),
+                  ((2 ** r - 1, 0), ((1 + 2 ** (2 * r + 1)) // 3,)),
+                  ((0, 2 ** r), (1 + 2 ** (2 * r + 2),))]
+    bad = [f"m({a},{b})={got}!={want}" for (a, b), want in cases
+           if (got := table.element(a, b).support_exponents()) != want]
     return bad, f"{len(M_TABLE_SMALL)} tabulated entries + power families r<=3"
 
 
@@ -140,16 +132,11 @@ def check_structure_suite() -> tuple[list[str], str]:
     for d in range(7):
         for a in range(d + 1):
             b = d - a
-            s3 = hecke(3, table.series(a, b, 3 * cmp_prec))
-            want3 = (table.series(a - 1, b, cmp_prec) if a else
-                     F2Series(0, cmp_prec))
-            if s3 != want3:
-                bad.append(f"T3 shift fails at ({a},{b})")
-            s5 = hecke(5, table.series(a, b, 5 * cmp_prec))
-            want5 = (table.series(a, b - 1, cmp_prec) if b else
-                     F2Series(0, cmp_prec))
-            if s5 != want5:
-                bad.append(f"T5 shift fails at ({a},{b})")
+            for p, (i, j) in ((3, (a - 1, b)), (5, (a, b - 1))):
+                want = (table.series(i, j, cmp_prec) if min(i, j) >= 0 else
+                        F2Series(0, cmp_prec))
+                if hecke(p, table.series(a, b, p * cmp_prec)) != want:
+                    bad.append(f"T{p} shift fails at ({a},{b})")
 
     # uniqueness: the stacked system has trivial kernel
     for n in (8, 16, 256):
@@ -157,30 +144,29 @@ def check_structure_suite() -> tuple[list[str], str]:
                                          hecke_matrix(5, n).cols):
             bad.append(f"stacked kernel nontrivial at level {n}")
 
-    # duality roundtrip on 100 random elements of the level-16 space
+    # duality roundtrip on 100 random elements of level 16, via the chains
     rng = random.Random(0x5eed)
+    t3, t5 = hecke_matrix(3, 16).cols, hecke_matrix(5, 16).cols
     for _ in range(100):
         coords = rng.randrange(1, 1 << 16)
-        f = DeltaCoords(coords, 16)
-        back = table.recompose(table.coefficients(f))
-        if back.coords != coords:
+        support = chain_coefficients(t3, t5, coords)
+        if (table.coefficients(DeltaCoords(coords, 16)) != support
+                or table.recompose(support).coords != coords):
             bad.append(f"duality roundtrip fails for coords {coords:#x}")
             break
 
     # pairing witness: factor the leading exponent m, apply those T_p, land
     # on q^1 coefficient 1 -- for all 65535 nonzero elements of the level-16
     # space, which include the 255 of the level-8 space (coords < 2^8),
-    # reading only the q^1 functional of each witness operator
-    mats16 = {p: hecke_matrix(p, 16) for p in (3, 5, 7, 11, 13, 17, 19, 23,
-                                               29, 31)}
+    # reading only the q^1 functional of each witness operator: row 0 of
+    # the product, carried through one factor at a time
+    mats16 = {p: hecke_matrix(p, 16).cols for p in odd_primes(31)}
     functionals = {}
     for low in range(16):
-        m = 2 * low + 1
-        op = GF2Matrix.identity(16)
-        for p in odd_prime_factors(m):
-            op = op.mul(mats16[p])
-        # the q^1 functional is row 0: bit 0 of each column
-        functionals[low] = sum((c & 1) << j for j, c in enumerate(op.cols))
+        row = 1
+        for p in odd_prime_factors(2 * low + 1):
+            row = sum(parity(row & c) << j for j, c in enumerate(mats16[p]))
+        functionals[low] = row
     for coords in range(1, 1 << 16):
         row = functionals[lowest_bit(coords)]
         if (row & coords).bit_count() & 1 != 1:
@@ -205,9 +191,11 @@ def check_structure_suite() -> tuple[list[str], str]:
 @_check("dominant-exponents")
 def check_dominant_exponents() -> tuple[list[str], str]:
     """The largest delta exponent of m(a,b) is an odd integer whose code
-    is (a,b), for a+b <= 6."""
+    is (a,b), for a+b <= 6; and the T_3/T_5 chains, not the table, read
+    m(a,b) back as the one monomial (a,b), of nilpotence order a+b+1."""
     table = MBasis()
     table.ensure_degree(6)
+    t3, t5 = (hecke_matrix(p, table.level).cols for p in (3, 5))
     bad = []
     for d in range(7):
         for a in range(d + 1):
@@ -215,8 +203,9 @@ def check_dominant_exponents() -> tuple[list[str], str]:
             k = table.dominant_exponent(a, b)
             if table.code_of(k) != (a, b):
                 bad.append(f"code({k}) != ({a},{b})")
-            if table.nilpotence_order(table.element(a, b)) != a + b + 1:
-                bad.append(f"nilpotence of m({a},{b}) != {a + b + 1}")
+            got = chain_coefficients(t3, t5, table.element(a, b).coords)
+            if got != {(a, b)}:
+                bad.append(f"nilpotence of m({a},{b}): {sorted(got)}")
     return bad, "codes and nilpotence orders, a+b<=6"
 
 

@@ -154,6 +154,8 @@ class GF2Matrix:
 
     def apply(self, v: int) -> int:
         """Matrix-vector product over GF(2); v is a coordinate bitset."""
+        if v >> self.n:
+            raise ValueError("dimension mismatch")
         return apply_columns(self.cols, v)
 
     def mul(self, other: "GF2Matrix") -> "GF2Matrix":

@@ -5,11 +5,12 @@ T_3 m(a,b) = m(a-1,b), T_5 m(a,b) = m(a,b-1) (zero when an index hits the
 boundary) and q^1 coefficient 1 exactly at (a,b) = (0,0).  Its largest
 delta exponent has a closed form: the code of an odd k, read off the
 binary digits of (k-1)/2, is the (a,b) whose m(a,b) peaks at delta^k.  So
-the level that holds an entry is known before any matrix is built, and
-each entry is read off its two parents by back-substitution on the
-columns of T_3 and T_5, guided by the code.  The stacked system
-[T_3; T_5; e] has trivial kernel at every level built (its columns are
-checked independent there), so the element found is the only one.
+the level that holds an entry is known before any matrix is built.
+
+A level is read off one certified table, the q^1 pairing of the odd delta
+powers with the monomials T_5^b T_3^a (`pairing_table`).  Its rows are unit
+triangular in the code order, so m(a,b) is one triangular solve and the
+m-expansion of any element is one sum of rows.
 
 The same table drives the expansion of every T_p as a series in x = T_3
 and y = T_5: the coefficient of x^i y^j in T_p is the q^p coefficient of
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
-from .gf2 import apply_columns, bit_flags, even_bits, rank, spread_bits
+from .gf2 import (apply_columns, bit_flags, even_bits, iter_bits, rank,
+                  spread_bits)
 from .primes import is_odd_prime, odd_primes
 from .series import F2Series, _odd_delta_power_bits
 from .spaces import DeltaCoords, expand_in_delta_basis, hecke_matrix
@@ -105,6 +107,91 @@ def _up5(j: int) -> int:
     return ((j | _EVEN) + 2) & _ODD | (j & _EVEN)
 
 
+def _lift(up, n: int):
+    """`up` on a bitset of indices below n: one mask and one shift for each
+    distance up(j) - j, of which there are at most log2(n) + 1."""
+    masks: dict[int, int] = {}
+    for j in range(n):
+        masks[up(j) - j] = masks.get(up(j) - j, 0) | 1 << j
+
+    def lifted(s: int) -> int:
+        out = 0
+        for d, mask in masks.items():
+            out |= (s & mask) << d
+        return out
+    return lifted
+
+
+def pairing_table(t3: tuple[int, ...], t5: tuple[int, ...]) -> list[int]:
+    """The certified pairing table phi of the level n = len(t3).
+
+    Bit j of phi[k] is a_1(T_5^b T_3^a delta^(2k+1)), (a,b) the code of
+    2j+1.  Applying one T_3 first when a > 0, else one T_5, gives the
+    shift identity phi[k] = up_x(phi.t3[k]) | up_y(phi.t5[k]) & A0 | [k=0]:
+    phi.c is the XOR of phi[i] over the bits i of c, up_x and up_y move a
+    code one step up in a and in b, A0 and B0 hold the codes with a = 0 and
+    with b = 0.  Row k raises unless (i) both columns it reads have
+    c >> k == 0, (ii) phi[k] & ~B0 == up_y(phi.t5[k]), which is T_3 T_5 =
+    T_5 T_3 as the pairing sees it, and (iii) phi[k].bit_length() == k + 1.
+
+    Proof of the theorem at level n.  By linearity and (ii), every g has
+    phi.g = up_x(phi.T_3 g) ^ up_y(phi.T_5 g) & A0 ^ g_0, with up_y(phi.T_5
+    g) its part with b > 0.  By (iii) phi is invertible, so T_3 g = T_5 g =
+    g_0 = 0 forces g = 0: [T_3; T_5; e] has trivial kernel.  And phi^-1 e_j
+    is m(a,b): its T_3, T_5 images pair as e_(a-1,b), e_(a,b-1) (0 at a
+    boundary) and g_0 = [j = 0].  So T_3 and T_5 shift a basis, the codes
+    below n are closed downward, and F2[x,y] maps onto the Hecke algebra
+    of the level with kernel spanned by the monomials outside the codes.
+    """
+    n = len(t3)
+    up_x, up_y = _lift(_up3, n), _lift(_up5, n)
+    a0 = sum(1 << j for j in range(n) if not j & _EVEN)
+    b0 = sum(1 << j for j in range(n) if not j & _ODD)
+    phi: list[int] = []
+
+    def violated(fault: str) -> RuntimeError:
+        return RuntimeError(f"uniqueness violated at level {n}: {fault}")
+
+    def paired(c: int) -> int:
+        # phi.c: cheaper than apply_columns on a column this sparse
+        out = 0
+        for i in iter_bits(c):
+            out ^= phi[i]
+        return out
+
+    for k, (c3, c5) in enumerate(zip(t3, t5)):
+        if c3 >> k or c5 >> k:
+            raise violated(f"column {k} is not strictly triangular")
+        up5 = up_y(paired(c5))
+        row = up_x(paired(c3)) | up5 & a0 | (k == 0)
+        if row & ~b0 != up5:
+            raise violated(f"row {k} breaks T_3 T_5 = T_5 T_3")
+        if row.bit_length() != k + 1:
+            raise violated(f"row {k} is not unit triangular")
+        phi.append(row)
+    return phi
+
+
+def _chain(cols: tuple[int, ...], v: int):
+    """v, M v, M^2 v, ... while nonzero: at most len(cols) terms."""
+    for _ in range(len(cols)):
+        if not v:
+            return
+        yield v
+        v = apply_columns(cols, v)
+    if v:
+        raise RuntimeError("Hecke chain failed to terminate")
+
+
+def chain_coefficients(t3: tuple[int, ...], t5: tuple[int, ...],
+                       coords: int) -> frozenset[MIndex]:
+    """Support of the expansion of coords in the m(a,b) basis, read off the
+    chains of T_3 and T_5 rather than the pairing table: (a,b) is in it
+    iff T_3^a T_5^b f has q^1 coefficient 1."""
+    return frozenset((a, b) for b, v in enumerate(_chain(t5, coords))
+                     for a, w in enumerate(_chain(t3, v)) if w & 1)
+
+
 @dataclass(frozen=True)
 class FrobenianReport:
     """Whether each explicit coefficient criterion holds for one prime:
@@ -123,9 +210,9 @@ class FrobenianReport:
 
 
 def stacked_kernel_is_trivial(t3: tuple[int, ...], t5: tuple[int, ...]) -> bool:
-    """The uniqueness certificate for the level n = len(t3): the columns
-    of [T_3; T_5; e], with e reading the delta coordinate, have rank n
-    exactly when the stacked system has trivial kernel."""
+    """Uniqueness at level n = len(t3) by rank, apart from `pairing_table`:
+    the columns of [T_3; T_5; e], with e reading the delta coordinate, have
+    rank n exactly when the stacked system has trivial kernel."""
     n = len(t3)
     stacked = [c3 | c5 << n for c3, c5 in zip(t3, t5)]
     stacked[0] |= 1 << (2 * n)
@@ -170,13 +257,12 @@ class MBasis:
 
     Nothing is built at construction.  A request that needs a higher level
     moves the table there once, at least doubling the level, rebuilds
-    there the T_3/T_5 columns and checks that the stacked system has
-    trivial kernel; entries are then solved from their parents by
-    back-substitution on those columns.  A level over `LEVEL_CAP` raises
-    LevelExhausted before anything is built.  Delta powers, for T_p
-    expansions, are taken at the working precision: the largest q^p a
-    T_p read has asked for.  Construction is sequential; a completed
-    table is read-only for consumers.
+    there the T_3/T_5 columns and the certified pairing table; entries are
+    then triangular solves on its rows, and m-expansions sums of them.  A
+    level over `LEVEL_CAP` raises LevelExhausted before anything is built.
+    Delta powers, for T_p expansions, are taken at the working precision:
+    the largest q^p a T_p read has asked for.  Construction is sequential;
+    a completed table is read-only for consumers.
     """
 
     def __init__(self):
@@ -200,11 +286,7 @@ class MBasis:
         n = self._level
         self._t3 = hecke_matrix(3, n).cols
         self._t5 = hecke_matrix(5, n).cols
-        if not stacked_kernel_is_trivial(self._t3, self._t5):
-            raise RuntimeError(
-                f"uniqueness violated at level {n}: the stacked system "
-                "[T_3; T_5; e] has a nontrivial kernel"
-            )
+        self._phi = pairing_table(self._t3, self._t5)
 
     def _grow(self, level: int):
         self._level = min(max(within_cap(level), 2 * self._level), LEVEL_CAP)
@@ -220,63 +302,19 @@ class MBasis:
 
     # -- table construction ------------------------------------------------
 
-    def _solve(self, a: int, b: int) -> int:
-        """m(a,b) from its parents, by back-substitution guided by the code.
-
-        Start from f = 0 and the residuals r3 = m(a-1,b), r5 = m(a,b-1),
-        which stay T_3 g and T_5 g for g = m(a,b) - f.  Write g in the
-        m-basis with support S.  The top of a nonzero r3 is delta^K(c-1,d)
-        for some (c,d) in S, so it proposes K(c,d), one step up in a; r5
-        proposes one step up in b.  The larger proposal flips its bit of f,
-        and its T_3, T_5 columns go into the residuals.  So each proposal is
-        K(c,d) for some (c,d) in S, and since delta^K(c,d) is m(c,d) plus
-        terms of smaller code exponent, flipping it removes (c,d) from S
-        and adds only indices with smaller K.  So the multiset of K values
-        on S goes down at every step, the loop ends, and every proposal is
-        at most K(a,b), which the level holds.  At the end g is killed by
-        T_3 and T_5, so it is 0 or delta, and the q^1 coefficient (bit 0,
-        never proposed) settles it.  A proposal at or above the level can
-        only come from wrong columns, and raises.  No bit of f flips twice
-        for any entry under the default cap (checked for all 8192 entries
-        at level 8192, whose first n columns are those of level n), so a
-        second flip also means wrong columns and raises: the loop takes at
-        most `level` steps whatever the columns.
-        """
-        n = self._level
-        t3, t5 = self._t3, self._t5
-        r3 = self._entries[(a - 1, b)] if a > 0 else 0
-        r5 = self._entries[(a, b - 1)] if b > 0 else 0
-        f = 0
-        while r3 or r5:
-            i = max(_up3(r3.bit_length() - 1) if r3 else 0,
-                    _up5(r5.bit_length() - 1) if r5 else 0)
-            if i >= n:
-                raise RuntimeError(
-                    f"m({a},{b}): back-substitution proposed delta^{2 * i + 1}"
-                    f", beyond level {n}, which holds its code"
-                )
-            if f >> i & 1:
-                raise RuntimeError(
-                    f"m({a},{b}): back-substitution flipped delta^{2 * i + 1}"
-                    " twice"
-                )
-            f ^= 1 << i
-            r3 ^= t3[i]
-            r5 ^= t5[i]
-        if (a, b) == (0, 0):
-            f |= 1
-        return f
-
     def ensure(self, a: int, b: int):
-        """Solve for m(a,b), recursively solving its parents first."""
+        """Solve phi.g = e_j, j the index of its code, for g = m(a,b): each
+        step clears the top bit of the residual, so at most j + 1 steps."""
         if (a, b) in self._entries:
             return
-        self.ensure_level(code_level(a, b))
-        if a > 0:
-            self.ensure(a - 1, b)
-        if b > 0:
-            self.ensure(a, b - 1)
-        self._entries[(a, b)] = self._solve(a, b)
+        j = code_level(a, b) - 1
+        self.ensure_level(j + 1)
+        phi, r, f = self._phi, 1 << j, 0
+        while r:
+            top = r.bit_length() - 1
+            f |= 1 << top
+            r ^= phi[top]
+        self._entries[(a, b)] = f
 
     def ensure_degree(self, degree: int):
         """Solve every m(a,b) with a + b <= degree, at one level."""
@@ -310,40 +348,19 @@ class MBasis:
         raise TypeError(f"expected DeltaCoords or F2Series, got {type(f)!r}")
 
     def coefficients(self, f) -> frozenset[MIndex]:
-        """Support of the expansion of f in the m(a,b) basis.
-
-        The coefficient at (a,b) is the q^1 coefficient of T_3^a T_5^b f,
-        read off through the columns of the exact level matrices; the
-        support is finite because both matrices are nilpotent.
-        """
+        """Support of the expansion of f in the m(a,b) basis: the coefficient
+        at (a,b) is the q^1 coefficient of T_5^b T_3^a f, so the support is
+        the codes of the bits of phi.f."""
         coords = self._coerce(f)
-        t3, t5 = self._t3, self._t5
-        out = set()
-        v = coords
-        b = 0
-        while v:
-            w = v
-            a = 0
-            while w:
-                if w & 1:
-                    out.add((a, b))
-                w = apply_columns(t3, w)
-                a += 1
-                if a > self._level:
-                    raise RuntimeError("T_3 chain failed to terminate")
-            v = apply_columns(t5, v)
-            b += 1
-            if b > self._level:
-                raise RuntimeError("T_5 chain failed to terminate")
-        return frozenset(out)
+        paired = apply_columns(self._phi, coords)
+        return frozenset(code_of(2 * j + 1) for j in iter_bits(paired))
 
     def recompose(self, support) -> DeltaCoords:
         """Sum of m(a,b) over an index set, at the current level."""
-        self.ensure_level(1)
         acc = 0
         for a, b in support:
-            self.ensure(a, b)
-            acc ^= self._entries[(a, b)]
+            acc ^= self.element(a, b).coords
+        self.ensure_level(1)
         return DeltaCoords(acc, self._level)
 
     def nilpotence_order(self, f) -> int:
@@ -359,8 +376,7 @@ class MBasis:
     def delta_power_coords(self, k: int) -> DeltaCoords:
         if k < 1 or k % 2 == 0:
             raise ValueError(f"expected an odd positive exponent, got {k}")
-        level = (k + 1) // 2
-        self.ensure_level(level)
+        self.ensure_level((k + 1) // 2)
         return DeltaCoords(1 << ((k - 1) // 2), self._level)
 
     def code_of(self, k: int) -> MIndex:
@@ -430,10 +446,8 @@ class MBasis:
         acc = 0
         for i, j in support:
             v = base
-            for _ in range(j):
-                v = apply_columns(self._t5, v)
-            for _ in range(i):
-                v = apply_columns(self._t3, v)
+            for cols in (self._t5,) * j + (self._t3,) * i:
+                v = apply_columns(cols, v)
             acc ^= v
         if acc != 1:
             raise RuntimeError(

@@ -209,27 +209,20 @@ def verify_span_equality(n: int, c: int) -> bool:
     table = MBasis()
     table.ensure_level(level)
     m_rows = [table.element(*boundary(i, c)).coords for i in range(half)]
-    theta_rows = [
-        theta_coords(t, n, c, 2 * level).coords for t in range(half + 1)
-    ]
-    r_m = rank(m_rows)
-    r_t = rank(theta_rows)
-    return r_m == r_t == rank(m_rows + theta_rows) == half
+    theta_rows = [theta_coords(t, n, c, 2 * level).coords
+                  for t in range(half + 1)]
+    return rank(m_rows) == rank(theta_rows) == rank(m_rows + theta_rows) == half
 
 
 def representable_mask(c: int, precision: int) -> int:
     """Bitmask of integers <= precision of the form a^2 + 2b^2 (c = 2) or
     a^2 + b^2 (c = 4), over all integers a, b."""
+    _validate_c(c)
     step = 2 if c == 2 else 1
     bits = 0
-    a = 0
-    while a * a <= precision:
-        v = a * a
-        b = 0
-        while v + step * b * b <= precision:
-            bits |= 1 << (v + step * b * b)
-            b += 1
-        a += 1
+    for a in range(isqrt(precision) + 1):
+        for b in range(isqrt((precision - a * a) // step) + 1):
+            bits |= 1 << (a * a + step * b * b)
     return bits
 
 

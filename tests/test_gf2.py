@@ -151,6 +151,16 @@ def test_rank_matches_exhaustive_span():
         assert 1 << rank(vecs) == len(reachable)
 
 
+def test_apply_rejects_a_vector_longer_than_the_matrix():
+    """A bit at or above n has no column: apply raises, as mul and add do
+    on a size mismatch, instead of dropping it."""
+    ident = GF2Matrix.identity(4)
+    assert ident.apply(0b1111) == 0b1111
+    for v in (1 << 4, 0b10001, -1):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ident.apply(v)
+
+
 def test_matrix_operations():
     m = GF2Matrix([0b00, 0b01], 2)  # column 1 is e0: sends e1 -> e0
     assert m.entry(0, 1) == 1 and m.entry(1, 0) == 0

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from heckemod2 import checks, mbasis, series, spaces
 from heckemod2.gf2 import GF2Matrix, LinearSolver, rank
-from heckemod2.mbasis import (LevelExhausted, MBasis, code_exponent,
-                              code_level, code_of, degree_level,
+from heckemod2.mbasis import (LevelExhausted, MBasis, chain_coefficients,
+                              code_exponent, code_level, code_of, degree_level,
                               frobenian_report, odd_b_representations,
-                              parity_pattern_holds, stacked_kernel_is_trivial)
+                              pairing_table, parity_pattern_holds,
+                              stacked_kernel_is_trivial)
 from heckemod2.primes import is_odd_prime, odd_primes
 from heckemod2.series import F2Series, _odd_delta_power_bits, delta_pow, hecke
 from heckemod2.spaces import DeltaCoords, hecke_matrix
@@ -79,10 +80,13 @@ def test_uniqueness_stacked_kernel_trivial():
 
 
 def test_uniqueness_certified_at_the_level_cap():
-    """The rank certificate of [T_3; T_5; e] runs at the level cap."""
+    """The pairing certificate, (i) to (iii) on every row, runs at the level
+    cap, and the solve of the top entry ends on its code exponent."""
     table = MBasis()
     table.ensure_level(mbasis.LEVEL_CAP)
     assert table.level == mbasis.LEVEL_CAP
+    top = 2 * mbasis.LEVEL_CAP - 1
+    assert table.dominant_exponent(*code_of(top)) == top
 
 
 def test_uniqueness_certificate_against_solver():
@@ -125,7 +129,7 @@ def test_m_table_check_builds_one_level(monkeypatch):
     assert levels == [129]
 
 
-# -- back-substitution --------------------------------------------------------------
+# -- triangular solve and its certificate ------------------------------------------
 
 
 @given(st.integers(1, 700))
@@ -167,39 +171,87 @@ def test_zero_column_pair_violates_uniqueness(monkeypatch):
         MBasis().ensure_level(16)
 
 
-def test_proposal_beyond_the_level_raises(monkeypatch):
-    """T_3 delta^3 = delta; a column that also reaches the top index sends
-    the next proposal past the level, which must raise, not index or hang."""
+def test_column_reaching_the_top_violates_uniqueness(monkeypatch):
+    """T_3 delta^3 = delta; a column that also reaches the top index is not
+    strictly triangular, and the certificate raises before any row reads
+    past the level."""
     def reach_the_top(p, n, cols):
         if p == 3:
             cols[1] |= 1 << (n - 1)
         return cols
     _corrupt_columns(monkeypatch, reach_the_top)
-    table = MBasis()
-    table.ensure_level(64)  # the columns still pass the rank certificate
-    with pytest.raises(RuntimeError, match="beyond level 64"):
-        table.ensure(1, 0)
+    with pytest.raises(RuntimeError,
+                       match="uniqueness violated at level 64: column 1"):
+        MBasis().ensure_level(64)
 
 
-def test_cycling_back_substitution_raises():
-    """With T_3 delta^3 = 0 the residual m(0,0) keeps proposing delta^3;
-    the second flip must raise instead of looping for ever.  A 5 s alarm
-    makes a missing guard fail this test rather than hang the suite."""
-    table = MBasis()
-    table.ensure_level(16)
-    table._t3 = (0, 0) + table._t3[2:]
+def test_t3_killing_delta_cubed_violates_uniqueness(monkeypatch):
+    """With T_3 delta^3 = 0 the row of delta^3 pairs with nothing, so the
+    table is not unit triangular.  A 5 s alarm makes a loop that never
+    ends fail this test rather than hang the suite."""
+    def kill_delta_cubed(p, n, cols):
+        if p == 3:
+            cols[1] = 0
+        return cols
+    _corrupt_columns(monkeypatch, kill_delta_cubed)
 
     def still_looping(signum, frame):
-        raise TimeoutError("back-substitution still looping after 5 s")
+        raise TimeoutError("certificate still running after 5 s")
 
     previous = signal.signal(signal.SIGALRM, still_looping)
     timer = signal.setitimer(signal.ITIMER_REAL, 5)
     try:
-        with pytest.raises(RuntimeError, match="flipped delta\\^3 twice"):
-            table.ensure(1, 0)
+        with pytest.raises(RuntimeError,
+                           match="level 16: row 1 is not unit triangular"):
+            MBasis().ensure_level(16)
     finally:
         signal.setitimer(signal.ITIMER_REAL, *timer)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_t5_corruption_only_the_pairing_certificate_sees(monkeypatch):
+    """T_5 delta^5 = delta + delta^3 keeps the stacked rank full, but it
+    breaks T_3 T_5 = T_5 T_3, which certificate (ii) reads off row 2."""
+    def corrupt_t5(p, n, cols):
+        if p == 5:
+            cols[2] ^= 1 << 1
+        return cols
+    _corrupt_columns(monkeypatch, corrupt_t5)
+    t3, t5 = (mbasis.hecke_matrix(p, 16).cols for p in (3, 5))
+    assert stacked_kernel_is_trivial(t3, t5)
+    with pytest.raises(RuntimeError, match="row 2 breaks T_3 T_5"):
+        MBasis().ensure_level(16)
+
+
+def test_pairing_certificate_rejects_single_bit_mutations():
+    """Flip one bit below the diagonal of T_3 or T_5 at level 64: the
+    pairing certificate rejects at least 95% of 400 such tables."""
+    n = 64
+    t3, t5 = hecke_matrix(3, n).cols, hecke_matrix(5, n).cols
+    assert pairing_table(t3, t5)
+    rng = random.Random(64)
+    rejected = 0
+    for _ in range(400):
+        cols = [list(t3), list(t5)]
+        k = rng.randrange(1, n)
+        rng.choice(cols)[k] ^= 1 << rng.randrange(k)
+        try:
+            pairing_table(*cols)
+        except RuntimeError:
+            rejected += 1
+    assert rejected >= 380
+
+
+def test_checks_read_the_table_through_a_second_route(monkeypatch):
+    """The identity is unit triangular, so it passes (iii); the checks that
+    read the table must still fail on it, through the T_3/T_5 chains."""
+    monkeypatch.setattr(mbasis, "pairing_table",
+                        lambda t3, t5: [1 << k for k in range(len(t3))])
+    dominant = checks.check_dominant_exponents()
+    assert not dominant.passed and "nilpotence of m(1,2)" in dominant.details
+    structure = checks.check_structure_suite()
+    assert not structure.passed
+    assert "duality roundtrip fails" in structure.details
 
 
 # -- dual expansion ----------------------------------------------------------------
@@ -229,6 +281,21 @@ def test_coefficients_against_iterated_hecke_oracle(mtable):
 def test_coefficients_accepts_series(mtable):
     f = delta_pow(11, 41) + delta_pow(19, 41)
     assert mtable.coefficients(f) == {(1, 2)}
+
+
+@given(st.integers(1, 1024), st.data())
+@example(1024, None)
+@settings(max_examples=15, deadline=None)
+def test_coefficients_match_the_hecke_chains(n, data):
+    """The m-expansion read off the pairing table equals the one read off
+    the chains of T_3 and T_5, on random elements of random levels."""
+    table = MBasis()
+    table.ensure_level(n)
+    coords = ((1 << n) - 1 if data is None
+              else data.draw(st.integers(0, (1 << n) - 1)))
+    t3, t5 = hecke_matrix(3, n).cols, hecke_matrix(5, n).cols
+    assert (table.coefficients(DeltaCoords(coords, n))
+            == chain_coefficients(t3, t5, coords))
 
 
 def test_duality_roundtrip(mtable):

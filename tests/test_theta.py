@@ -466,6 +466,12 @@ def test_representable_mask_small():
     assert {e for e in range(41) if (mask4 >> e) & 1} == want4
 
 
+def test_representable_mask_rejects_other_forms():
+    for c in (0, 1, 3, 8):
+        with pytest.raises(ValueError, match="must be 2 or 4"):
+            representable_mask(c, 20)
+
+
 def test_kernel_characterization():
     for c in (2, 4):
         assert verify_kernel_characterization(4, c, 1024)
