@@ -1,17 +1,15 @@
 """Dense GF(2) linear algebra on int bitsets.
 
 Vectors are Python ints (bit i = coordinate i); a matrix is a tuple of
-column ints.  `Span` is the one elimination engine: an echelon basis
-pivoting on the highest set bit, so every computation is deterministic.
+column ints.  `apply_columns` is the one matrix-vector product, `chain`
+gives its powers, and `Span` is the one elimination engine: an echelon
+basis pivoting on the highest set bit, so every result is deterministic.
 `rank` and `LinearSolver` read their answers off a `Span`, and every loop
 over the set bits of an int goes through `iter_bits`.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import compress
-from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 # maps the digits of a binary string to the bytes 0 and 1
@@ -53,10 +51,24 @@ def bit_flags(x: int, width: int) -> bytes:
 
 
 def apply_columns(cols: Sequence[int], v: int) -> int:
-    """Matrix-vector product over GF(2) from the columns: the XOR of
-    cols[i] over the set bits i of v."""
-    flags = format(v, "b")[::-1].encode().translate(_BIT_FLAGS)
-    return reduce(xor, compress(cols, flags), 0)
+    """Matrix-vector product over GF(2): the XOR of cols[i] over the set
+    bits i of v >= 0.  A bit of v with no column raises IndexError."""
+    acc = 0
+    for i in iter_bits(v):
+        acc ^= cols[i]
+    return acc
+
+
+def chain(cols: Sequence[int], v: int) -> Iterator[int]:
+    """v, M v, M^2 v, ... while nonzero, M the matrix with columns `cols`:
+    at most len(cols) terms, so M must be nilpotent on v."""
+    for _ in range(len(cols)):
+        if not v:
+            return
+        yield v
+        v = apply_columns(cols, v)
+    if v:
+        raise RuntimeError("Hecke chain failed to terminate")
 
 
 def column_stride(n: int) -> int:
@@ -159,21 +171,13 @@ class GF2Matrix:
         return apply_columns(self.cols, v)
 
     def mul(self, other: "GF2Matrix") -> "GF2Matrix":
-        """Column j of the product is the XOR of the columns of self over
-        the set bits of column j of other: the cost is other's set bits."""
+        """Column j of the product is self applied to column j of other:
+        the cost is other's set bits.  Most columns of products of nilpotent
+        Hecke matrices are zero, and skip `apply_columns` altogether."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        mine = self.cols
-        cols = []
-        for c in other.cols:
-            acc = 0
-            # most columns of products of nilpotent Hecke matrices are
-            # zero: skip them without starting a generator
-            if c:
-                for i in iter_bits(c):
-                    acc ^= mine[i]
-            cols.append(acc)
-        return GF2Matrix(cols, self.n)
+        return GF2Matrix([apply_columns(self.cols, c) if c else 0
+                          for c in other.cols], self.n)
 
     def add(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.n != other.n:

@@ -25,9 +25,10 @@ from math import isqrt
 
 from .gf2 import (apply_columns, bit_flags, even_bits, iter_bits, rank,
                   spread_bits)
-from .primes import is_odd_prime, odd_primes
+from .primes import odd_primes
 from .series import F2Series, _odd_delta_power_bits
-from .spaces import DeltaCoords, expand_in_delta_basis, hecke_matrix
+from .spaces import (DeltaCoords, expand_in_delta_basis, hecke_matrix,
+                     monomial_images, polynomial_image)
 
 MIndex = tuple[int, int]
 
@@ -152,18 +153,11 @@ def pairing_table(t3: tuple[int, ...], t5: tuple[int, ...]) -> list[int]:
     def violated(fault: str) -> RuntimeError:
         return RuntimeError(f"uniqueness violated at level {n}: {fault}")
 
-    def paired(c: int) -> int:
-        # phi.c: cheaper than apply_columns on a column this sparse
-        out = 0
-        for i in iter_bits(c):
-            out ^= phi[i]
-        return out
-
     for k, (c3, c5) in enumerate(zip(t3, t5)):
         if c3 >> k or c5 >> k:
             raise violated(f"column {k} is not strictly triangular")
-        up5 = up_y(paired(c5))
-        row = up_x(paired(c3)) | up5 & a0 | (k == 0)
+        up5 = up_y(apply_columns(phi, c5))
+        row = up_x(apply_columns(phi, c3)) | up5 & a0 | (k == 0)
         if row & ~b0 != up5:
             raise violated(f"row {k} breaks T_3 T_5 = T_5 T_3")
         if row.bit_length() != k + 1:
@@ -172,24 +166,12 @@ def pairing_table(t3: tuple[int, ...], t5: tuple[int, ...]) -> list[int]:
     return phi
 
 
-def _chain(cols: tuple[int, ...], v: int):
-    """v, M v, M^2 v, ... while nonzero: at most len(cols) terms."""
-    for _ in range(len(cols)):
-        if not v:
-            return
-        yield v
-        v = apply_columns(cols, v)
-    if v:
-        raise RuntimeError("Hecke chain failed to terminate")
-
-
 def chain_coefficients(t3: tuple[int, ...], t5: tuple[int, ...],
                        coords: int) -> frozenset[MIndex]:
     """Support of the expansion of coords in the m(a,b) basis, read off the
     chains of T_3 and T_5 rather than the pairing table: (a,b) is in it
-    iff T_3^a T_5^b f has q^1 coefficient 1."""
-    return frozenset((a, b) for b, v in enumerate(_chain(t5, coords))
-                     for a, w in enumerate(_chain(t3, v)) if w & 1)
+    iff T_3^a T_5^b f, one of its `monomial_images`, has bit 0 set."""
+    return frozenset(ab for ab, w in monomial_images(t3, t5, coords) if w & 1)
 
 
 @dataclass(frozen=True)
@@ -420,10 +402,11 @@ class MBasis:
 
     def tp_expansion(self, p: int, degree: int) -> frozenset[MIndex]:
         """Monomials x^i y^j with coefficient 1 in T_p, up to total degree:
-        one prime of `tp_table`."""
-        if not is_odd_prime(p):
+        one prime of `tp_table`, which checks its budget before the sieve."""
+        table = self.tp_table(p, degree) if p > 2 and p % 2 else {}
+        if p not in table:
             raise ValueError(f"expected an odd prime, got {p}")
-        return self.tp_table(p, degree)[p]
+        return table[p]
 
     # -- injectivity witnesses ------------------------------------------------
 
@@ -443,13 +426,7 @@ class MBasis:
         a = max(i for i, j in support if i + j == dmin)
         k = code_exponent(a, dmin - a)
         base = self.delta_power_coords(k).coords
-        acc = 0
-        for i, j in support:
-            v = base
-            for cols in (self._t5,) * j + (self._t3,) * i:
-                v = apply_columns(cols, v)
-            acc ^= v
-        if acc != 1:
+        if polynomial_image(self._t3, self._t5, support, base) != 1:
             raise RuntimeError(
                 f"witness verification failed: u(T_3,T_5) delta^{k} != delta"
             )

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .gf2 import (GF2Matrix, Span, apply_columns, column_stride, even_bits,
-                  flat_product, iter_bits, lowest_bit, rank)
+from .gf2 import (GF2Matrix, Span, apply_columns, chain, column_stride,
+                  even_bits, flat_product, iter_bits, lowest_bit, rank)
 from .primes import is_odd_prime
 from .series import F2Series, PrecisionError, _hecke_bits, _mask, _odd_delta_power_bits
 
@@ -279,38 +279,41 @@ def nilpotency_index(m: GF2Matrix) -> int:
     return s
 
 
-def operator_polynomial(support, n: int) -> GF2Matrix:
-    """Evaluate a GF(2) polynomial in (T_3, T_5) given by its monomial
-    support {(i, j)} on the level-n space."""
-    support = set(support)
-    if not support:
-        raise ValueError("zero polynomial")
-    max_i = max(i for i, _ in support)
-    max_j = max(j for _, j in support)
-    t3 = hecke_matrix(3, n)
-    t5 = hecke_matrix(5, n)
-    # Hecke factors on the left: a product costs its right operand's bits
-    pow3 = [GF2Matrix.identity(n)]
-    for _ in range(max_i):
-        pow3.append(t3.mul(pow3[-1]))
-    pow5 = [GF2Matrix.identity(n)]
-    for _ in range(max_j):
-        pow5.append(t5.mul(pow5[-1]))
-    acc = GF2Matrix.zero(n)
-    for i, j in support:
-        acc = acc.add(pow5[j].mul(pow3[i]))
+def monomial_images(t3: tuple[int, ...], t5: tuple[int, ...], v: int):
+    """((a, b), T_3^a T_5^b v) for every nonzero image: the T_3 chain of
+    each term of the T_5 chain of v."""
+    return (((a, b), x) for b, w in enumerate(chain(t5, v))
+            for a, x in enumerate(chain(t3, w)))
+
+
+def polynomial_image(t3: tuple[int, ...], t5: tuple[int, ...], support,
+                     v: int) -> int:
+    """u(T_3, T_5) v for the GF(2) polynomial u with monomial support
+    {(a, b)}: the XOR of the `monomial_images` of v over the support (0 for
+    an empty one), each chain cut at the largest exponent it needs."""
+    support = frozenset(support)
+    top_a, top_b = map(max, zip((-1, -1), *support))
+    acc = 0
+    for b, w in enumerate(islice(chain(t5, v), top_b + 1)):
+        for a, x in enumerate(islice(chain(t3, w), top_a + 1)):
+            if (a, b) in support:
+                acc ^= x
     return acc
 
 
 def check_divisibility(support, n: int, big_n: int) -> bool:
-    """True iff every basis vector of the level-n space lies in the column
-    space of u(T_3, T_5) acting on the level-big_n space, where u is the
-    polynomial with the given monomial support.  Raise big_n until true;
-    divisibility of the module predicts success for big_n large enough."""
+    """True iff the level-n space lies in the span of the images
+    `polynomial_image` gives of delta^(2k+1), k < big_n: the column space of
+    the polynomial u with the given support at level big_n.  Raise big_n
+    until true; divisibility of the module predicts it for big_n large."""
     if big_n < n:
         raise ValueError("big_n must be >= n")
-    u = operator_polynomial(support, big_n)
-    col_span = Span(u.cols)
+    support = frozenset(support)
+    if not support:
+        raise ValueError("zero polynomial")
+    t3, t5 = hecke_matrix(3, big_n).cols, hecke_matrix(5, big_n).cols
+    col_span = Span(polynomial_image(t3, t5, support, 1 << k)
+                    for k in range(big_n))
     return all(col_span.contains(1 << k) for k in range(n))
 
 

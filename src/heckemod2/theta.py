@@ -69,6 +69,8 @@ def theta_level(n: int, c: int) -> int:
     same space as the boundary entries m(boundary(i, c)), i < 2^(n-1), and
     the last of those has the largest code."""
     _validate_c(c)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return code_level(*boundary((1 << (n - 1)) - 1, c))
 
 
@@ -203,9 +205,8 @@ def verify_span_equality(n: int, c: int) -> bool:
     m(0,b) (form parameter 4).  The family is expanded at twice
     `theta_level`, so the check also shows that no member reaches past
     that level."""
-    _validate_c(c)
-    half = 1 << (n - 1)
     level = theta_level(n, c)
+    half = 1 << (n - 1)
     table = MBasis()
     table.ensure_level(level)
     m_rows = [table.element(*boundary(i, c)).coords for i in range(half)]

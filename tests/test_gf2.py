@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckemod2.gf2 import (GF2Matrix, LinearSolver, Span, apply_columns,
-                           bit_flags, column_stride, flat_product, iter_bits,
-                           lowest_bit, rank)
+                           bit_flags, chain, column_stride, flat_product,
+                           iter_bits, lowest_bit, rank)
 from heckemod2.spaces import kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heckemod2"
@@ -57,7 +57,10 @@ def test_span_against_lowest_bit_reference(family, probe, mix):
     vecs, width = family
     span, ref = Span(vecs), LowestBitSpan(vecs)
     assert span.dimension == len(ref.pivots) == rank(vecs)
-    for v in (probe & ((1 << width) - 1), apply_columns(vecs, mix)):
+    # apply_columns raises on a bit of mix with no vector, so mix is cut
+    # to one bit per vector
+    mixed = apply_columns(vecs, mix & ((1 << len(vecs)) - 1))
+    for v in (probe & ((1 << width) - 1), mixed):
         assert span.contains(v) == (ref.reduce(v) == 0)
     keys = [pivot for pivot, _ in span.echelon()]
     assert keys == [v.bit_length() - 1 for _, v in span.echelon()]
@@ -161,6 +164,34 @@ def test_apply_rejects_a_vector_longer_than_the_matrix():
             ident.apply(v)
 
 
+def test_apply_columns_rejects_a_bit_with_no_column():
+    assert apply_columns((1, 2), 0b11) == 0b11
+    with pytest.raises(IndexError):
+        apply_columns((1, 2), 0b100)
+
+
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+    st.integers(0, (1 << n) - 1))))
+def test_chain_against_repeated_apply_columns(system):
+    """Strictly lower triangular columns (bits below the column's index)
+    make every chain end; its terms are the nonzero iterates of
+    apply_columns, in order."""
+    cols, start = system
+    cols = [c & ((1 << k) - 1) for k, c in enumerate(cols)]
+    want, v = [], start
+    while v:
+        want.append(v)
+        v = apply_columns(cols, v)
+    assert list(chain(cols, start)) == want
+
+
+def test_chain_raises_when_the_matrix_is_not_nilpotent_on_v():
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        list(chain(GF2Matrix.identity(4).cols, 0b1010))
+    assert list(chain(GF2Matrix.identity(4).cols, 0)) == []
+
+
 def test_matrix_operations():
     m = GF2Matrix([0b00, 0b01], 2)  # column 1 is e0: sends e1 -> e0
     assert m.entry(0, 1) == 1 and m.entry(1, 0) == 0
@@ -244,3 +275,76 @@ def test_lowest_bit_idiom_only_in_gf2_helpers():
              for i, text in enumerate(path.read_text().splitlines(), 1)
              if "& -" in text and (path.name, i) not in allowed]
     assert stray == []
+
+
+def column_products(source: str, allowed: str = "") -> list[int]:
+    """Lines of `for x in iter_bits(...)` loops whose body XOR-assigns a
+    value that indexes something with x: a hand-written column product.
+    Loops inside the function named `allowed` are skipped."""
+    tree = ast.parse(source)
+    skip = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == allowed
+            for node in ast.walk(fn)}
+    found = []
+    for loop in ast.walk(tree):
+        if (id(loop) in skip or not isinstance(loop, ast.For)
+                or not isinstance(loop.target, ast.Name)
+                or not isinstance(loop.iter, ast.Call)
+                or not ast.unparse(loop.iter.func).endswith("iter_bits")):
+            continue
+        found.extend(
+            node.lineno for stmt in loop.body for node in ast.walk(stmt)
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.BitXor)
+            and any(isinstance(sub, ast.Subscript)
+                    and isinstance(sub.slice, ast.Name)
+                    and sub.slice.id == loop.target.id
+                    for sub in ast.walk(node.value)))
+    return found
+
+
+def test_column_product_only_in_apply_columns():
+    """The XOR of columns over the set bits of a vector is written once, in
+    gf2.apply_columns; every other matrix-vector product calls it."""
+    stray = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in column_products(
+                 path.read_text(),
+                 "apply_columns" if path.name == "gf2.py" else "")]
+    assert stray == []
+
+
+def test_column_product_guard_sees_hand_written_products():
+    """The guard flags the two hand-written loops apply_columns replaced and
+    leaves shifts, masked greedy steps and the triangular solve alone."""
+    paired = """
+def paired(c):
+    out = 0
+    for i in iter_bits(c):
+        out ^= phi[i]
+    return out
+"""
+    mul = """
+def mul(self, other):
+    for c in other.cols:
+        if c:
+            for i in iter_bits(c):
+                acc ^= mine[i] & mask
+"""
+    harmless = """
+def shift_product(a, b):
+    for i in iter_bits(a):
+        acc ^= b << i
+def greedy(residue, pows, mask):
+    while residue:
+        i = lowest_bit(residue)
+        residue ^= pows[i] & mask
+def solve(r, phi):
+    while r:
+        top = r.bit_length() - 1
+        r ^= phi[top]
+"""
+    assert column_products(paired) == [5]
+    assert column_products(mul) == [6]
+    assert column_products(harmless) == []
+    assert column_products(paired, "paired") == []

@@ -517,6 +517,25 @@ def test_tp_table_matches_the_per_prime_probe(p_max, degree, data):
     assert MBasis().tp_expansion(p, degree) == MBasis().tp_table(p, degree)[p]
 
 
+def test_tp_expansion_checks_the_budget_before_primality():
+    """A huge p is refused by the budget, not by trial division; an even p,
+    p < 3 or an odd composite is still no odd prime."""
+    def still_dividing(signum, frame):
+        raise TimeoutError("tp_expansion still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, still_dividing)
+    timer = signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(LevelExhausted, match="bits of delta powers"):
+            MBasis().tp_expansion((2 ** 31 - 1) ** 2, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, *timer)
+        signal.signal(signal.SIGALRM, previous)
+    for p in (9, 2, 1, -3, 2 ** 80):
+        with pytest.raises(ValueError, match=f"expected an odd prime, got {p}"):
+            MBasis().tp_expansion(p, 2)
+
+
 @pytest.fixture
 def own_delta_powers(monkeypatch):
     """Give the test its own delta-power table, so powers taken at a large
@@ -600,6 +619,16 @@ def test_witness_identity_on_series():
 def test_witness_rejects_zero(mtable):
     with pytest.raises(ValueError):
         mtable.injectivity_witness(set())
+
+
+def test_witness_verification_catches_a_wrong_exponent(monkeypatch):
+    """With the code two exponents too high, u(T_3, T_5) delta^k is not
+    delta, and the witness refuses to return k."""
+    true_exponent = mbasis.code_exponent
+    monkeypatch.setattr(mbasis, "code_exponent",
+                        lambda a, b: true_exponent(a, b) + 2)
+    with pytest.raises(RuntimeError, match="witness verification failed"):
+        MBasis().injectivity_witness({(1, 0)})
 
 
 # -- growth -------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from heckemod2.spaces import (MODULAR_EQUATIONS, AlgebraSpan, DeltaCoords,
                               NotInSpan, _direct_columns, _greedy_expand,
                               algebra_dimension, check_divisibility,
                               commutant_dimension, expand_in_delta_basis,
-                              hecke_matrix, kernel, nilpotency_index)
+                              hecke_matrix, kernel, monomial_images,
+                              nilpotency_index, polynomial_image)
 
 # -- delta-basis expansion ----------------------------------------------------
 
@@ -456,8 +457,58 @@ def test_divisibility_minimal_levels_from_level_3():
 
 
 def test_divisibility_rejects_zero_polynomial():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero polynomial"):
         check_divisibility(set(), 2, 4)
+    with pytest.raises(ValueError, match="big_n must be >= n"):
+        check_divisibility({(0, 0)}, 4, 2)
+
+
+def operator_polynomial_reference(support, n: int) -> GF2Matrix:
+    """The matrix of u(T_3, T_5) on the level-n space from whole matrix
+    powers and products: the reference for `polynomial_image`."""
+    support = set(support)
+    if not support:
+        raise ValueError("zero polynomial")
+    max_i = max(i for i, _ in support)
+    max_j = max(j for _, j in support)
+    t3 = hecke_matrix(3, n)
+    t5 = hecke_matrix(5, n)
+    # Hecke factors on the left: a product costs its right operand's bits
+    pow3 = [GF2Matrix.identity(n)]
+    for _ in range(max_i):
+        pow3.append(t3.mul(pow3[-1]))
+    pow5 = [GF2Matrix.identity(n)]
+    for _ in range(max_j):
+        pow5.append(t5.mul(pow5[-1]))
+    acc = GF2Matrix.zero(n)
+    for i, j in support:
+        acc = acc.add(pow5[j].mul(pow3[i]))
+    return acc
+
+
+@given(st.integers(1, 64),
+       st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1))
+@settings(max_examples=60, deadline=None)
+def test_polynomial_image_against_matrix_powers(n, support):
+    t3, t5 = hecke_matrix(3, n).cols, hecke_matrix(5, n).cols
+    want = operator_polynomial_reference(support, n).cols
+    assert tuple(polynomial_image(t3, t5, support, 1 << k)
+                 for k in range(n)) == want
+
+
+@given(st.integers(1, 64), st.data())
+@settings(max_examples=40, deadline=None)
+def test_monomial_images_are_the_nonzero_monomials(n, data):
+    """Every nonzero T_3^a T_5^b v appears once, and nothing else does."""
+    v = data.draw(st.integers(0, (1 << n) - 1))
+    t3, t5 = hecke_matrix(3, n).cols, hecke_matrix(5, n).cols
+    images = dict(monomial_images(t3, t5, v))
+    for a in range(n + 1):
+        for b in range(n + 1):
+            want = polynomial_image(t3, t5, {(a, b)}, v)
+            assert images.get((a, b), 0) == want
+    assert 0 not in images.values()
+    assert polynomial_image(t3, t5, (), v) == 0
 
 
 # -- kernels ---------------------------------------------------------------------------

@@ -449,6 +449,14 @@ def test_theta_level_is_tight(c):
         assert top == level, (n, c)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("c", [2, 4])
+def test_theta_level_rejects_index_below_one(n, c):
+    for call in (theta_level, verify_span_equality):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            call(n, c)
+
+
 def test_span_example_level_2():
     # theta family at n=2 spans {delta, delta^3} = span{m(0,0), m(1,0)}
     coords = {theta_coords(t, 2, 2, 8).coords for t in range(3)}
