@@ -12,8 +12,9 @@ import argparse
 import sys
 
 from .checks import SUITES, run_suite
-from .mbasis import LevelExhausted, MBasis, within_cap
-from .spaces import DeltaCoords, NotInSpan, expand_in_delta_basis
+from .mbasis import MBasis
+from .spaces import (DeltaCoords, LevelExhausted, NotInSpan,
+                     expand_in_delta_basis, within_cap)
 from .theta import theta_coords, theta_level
 
 USAGE_ERROR = 2
@@ -131,11 +132,12 @@ def cmd_decompose(args) -> int:
     coords = 0
     for e in exponents:
         coords ^= 1 << ((e - 1) // 2)
-    element = DeltaCoords(coords, table.level)
     # honest round trip through the q-expansion
-    expanded = expand_in_delta_basis(
-        element.to_series(2 * table.level - 1), table.level
-    )
+    series = DeltaCoords(coords, table.level).to_series(2 * table.level - 1)
+    expanded = expand_in_delta_basis(series, table.level)
+    if expanded.coords != coords:
+        print("error: q-expansion round trip failed", file=sys.stderr)
+        return FAILURE
     m_support = _graded(table.coefficients(expanded))
     delta_exps = " ".join(str(e) for e in expanded.support_exponents())
     if args.format == "csv":

@@ -23,40 +23,23 @@ from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
+from . import spaces
 from .gf2 import (apply_columns, bit_flags, even_bits, iter_bits, rank,
                   spread_bits)
 from .primes import odd_primes
 from .series import F2Series, _odd_delta_power_bits
-from .spaces import (DeltaCoords, expand_in_delta_basis, hecke_matrix,
-                     monomial_images, polynomial_image)
+from .spaces import (DeltaCoords, LevelExhausted, _shown,
+                     expand_in_delta_basis, hecke_matrix, monomial_images,
+                     polynomial_image, within_cap)
 
 MIndex = tuple[int, int]
 
-LEVEL_CAP = 8192
 # the most bits of delta powers (level times precision) a T_p table may
 # build: p_max = 10^7 at degree 2 and 10^6 at degree 24 stay below it
 POWER_BITS_CAP = 1 << 30
 
 # (i mod 2, j mod 2) forced on every monomial of T_p, by p mod 8
 PARITY_PATTERN = {1: (0, 0), 3: (1, 0), 5: (0, 1), 7: (1, 1)}
-
-
-class LevelExhausted(RuntimeError):
-    """A computation needs a level over the level cap."""
-
-
-def _shown(n: int):
-    """n, or a few words in place of a number too long to print."""
-    return n if n < 1 << 64 else "above 2^64"
-
-
-def within_cap(level: int) -> int:
-    """`level`, if the level cap allows it; else LevelExhausted, with a
-    message of a few dozen characters however large the level is."""
-    if level > LEVEL_CAP:
-        raise LevelExhausted(
-            f"level {_shown(level)} needed, over the level cap {LEVEL_CAP}")
-    return level
 
 
 def code_of(k: int) -> MIndex:
@@ -235,13 +218,14 @@ def frobenian_report(p: int, monomials, rep8: bytearray, rep16: bytearray
 
 
 class MBasis:
-    """Table of m(a,b) elements at one working level.
+    """The m(a,b) basis at one working level, read off its pairing table.
 
     Nothing is built at construction.  A request that needs a higher level
-    moves the table there once, at least doubling the level, rebuilds
-    there the T_3/T_5 columns and the certified pairing table; entries are
-    then triangular solves on its rows, and m-expansions sums of them.  A
-    level over `LEVEL_CAP` raises LevelExhausted before anything is built.
+    moves the table there once, at least doubling the level, and rebuilds
+    there the T_3/T_5 columns and the certified pairing table phi; no entry
+    is stored.  `element` and `recompose` are the same triangular solve on
+    phi, and `coefficients` is phi.f.  A level over `spaces.LEVEL_CAP`
+    raises LevelExhausted before anything is built.
     Delta powers, for T_p expansions, are taken at the working precision:
     the largest q^p a T_p read has asked for.  Construction is sequential;
     a completed table is read-only for consumers.
@@ -250,7 +234,6 @@ class MBasis:
     def __init__(self):
         self._level = 0
         self._precision = 0
-        self._entries: dict[MIndex, int] = {}
 
     # -- level / precision management -------------------------------------
 
@@ -271,7 +254,8 @@ class MBasis:
         self._phi = pairing_table(self._t3, self._t5)
 
     def _grow(self, level: int):
-        self._level = min(max(within_cap(level), 2 * self._level), LEVEL_CAP)
+        self._level = min(max(within_cap(level), 2 * self._level),
+                          spaces.LEVEL_CAP)
         self._rebuild()
 
     def ensure_level(self, level: int):
@@ -282,32 +266,28 @@ class MBasis:
         """Raise the working precision to `precision`, if it is lower."""
         self._precision = max(self._precision, precision)
 
-    # -- table construction ------------------------------------------------
+    def ensure_degree(self, degree: int):
+        """Move to the level holding every m(a,b) with a + b <= degree."""
+        self.ensure_level(degree_level(degree))
 
-    def ensure(self, a: int, b: int):
-        """Solve phi.g = e_j, j the index of its code, for g = m(a,b): each
-        step clears the top bit of the residual, so at most j + 1 steps."""
-        if (a, b) in self._entries:
-            return
-        j = code_level(a, b) - 1
-        self.ensure_level(j + 1)
-        phi, r, f = self._phi, 1 << j, 0
+    # -- the triangular solve ------------------------------------------------
+
+    def recompose(self, support) -> DeltaCoords:
+        """Sum g of m(a,b) over an index set: phi.g = XOR of e_j over their
+        code indices j, solved from the top bit down in at most j + 1 steps."""
+        r = 0
+        for a, b in support:
+            r ^= 1 << (within_cap(code_level(a, b)) - 1)
+        self.ensure_level(max(r.bit_length(), 1))
+        phi, g = self._phi, 0
         while r:
             top = r.bit_length() - 1
-            f |= 1 << top
+            g |= 1 << top
             r ^= phi[top]
-        self._entries[(a, b)] = f
-
-    def ensure_degree(self, degree: int):
-        """Solve every m(a,b) with a + b <= degree, at one level."""
-        self.ensure_level(degree_level(degree))
-        for d in range(degree + 1):
-            for a in range(d, -1, -1):
-                self.ensure(a, d - a)
+        return DeltaCoords(g, self._level)
 
     def element(self, a: int, b: int) -> DeltaCoords:
-        self.ensure(a, b)
-        return DeltaCoords(self._entries[(a, b)], self._level)
+        return self.recompose({(a, b)})
 
     def series(self, a: int, b: int, precision: int) -> F2Series:
         """q-expansion of m(a,b) through q^precision."""
@@ -336,14 +316,6 @@ class MBasis:
         coords = self._coerce(f)
         paired = apply_columns(self._phi, coords)
         return frozenset(code_of(2 * j + 1) for j in iter_bits(paired))
-
-    def recompose(self, support) -> DeltaCoords:
-        """Sum of m(a,b) over an index set, at the current level."""
-        acc = 0
-        for a, b in support:
-            acc ^= self.element(a, b).coords
-        self.ensure_level(1)
-        return DeltaCoords(acc, self._level)
 
     def nilpotence_order(self, f) -> int:
         """1 + the largest total degree in the m-expansion of f: the least
@@ -383,14 +355,15 @@ class MBasis:
                 f"{_shown(bits)} bits of delta powers needed, over the level "
                 f"cap's budget of {POWER_BITS_CAP} bits")
         primes = odd_primes(p_max)
-        self.ensure_degree(degree)
+        self.ensure_level(level)
         self.ensure_precision(p_max)
         pows = _odd_delta_power_bits(level, self.precision)
         # bit k of masks[p] is the coefficient of the k-th monomial in T_p
         masks = dict.fromkeys(primes, 0)
-        monomials = [ij for ij in self._entries if ij[0] + ij[1] <= degree]
+        monomials = [(i, d - i) for d in range(degree + 1) for i in range(d + 1)]
         for k, ij in enumerate(monomials):
-            flags = bit_flags(apply_columns(pows, self._entries[ij]), p_max + 1)
+            coords = self.element(*ij).coords
+            flags = bit_flags(apply_columns(pows, coords), p_max + 1)
             for p in compress(primes, map(flags.__getitem__, primes)):
                 masks[p] |= 1 << k
         # few distinct T_p recur over many primes at a fixed degree, so

@@ -5,7 +5,8 @@ column k is the image of delta^(2k+1).
 Level n is the n-dimensional space with basis delta, delta^3, ...,
 delta^(2n-1).  In the exponent-ordered basis every Hecke matrix is
 strictly triangular (T_p lowers the leading exponent), which is asserted
-at construction time, as is stability of the level under T_p.
+at construction time, as is stability of the level under T_p.  No level
+over LEVEL_CAP is built: `within_cap` raises LevelExhausted first.
 """
 
 from __future__ import annotations
@@ -20,9 +21,29 @@ from .gf2 import (GF2Matrix, Span, apply_columns, chain, column_stride,
 from .primes import is_odd_prime
 from .series import F2Series, PrecisionError, _hecke_bits, _mask, _odd_delta_power_bits
 
+LEVEL_CAP = 8192
+
 
 class NotInSpan(ValueError):
     """A series is not in the level-n space at the available precision."""
+
+
+class LevelExhausted(RuntimeError):
+    """A computation needs a level over the level cap."""
+
+
+def _shown(n: int):
+    """n, or a few words in place of a number too long to print."""
+    return n if n < 1 << 64 else "above 2^64"
+
+
+def within_cap(level: int) -> int:
+    """`level`, if the level cap allows it; else LevelExhausted, with a
+    message of a few dozen characters however large the level is."""
+    if level > LEVEL_CAP:
+        raise LevelExhausted(
+            f"level {_shown(level)} needed, over the level cap {LEVEL_CAP}")
+    return level
 
 
 @dataclass(frozen=True)
@@ -184,7 +205,8 @@ def _direct_columns(p: int, n: int) -> list[int]:
 def _checked_columns(p: int, n: int) -> tuple[int, ...]:
     """Columns of T_p on the level-n space: column k is the image of
     delta^(2k+1).  The primes of MODULAR_EQUATIONS come from their
-    recurrence, every other prime from q-expansions.  Stability of the
+    recurrence, every other prime from q-expansions.  A level over the
+    cap raises LevelExhausted before anything is built.  Stability of the
     level and strict triangularity are checked and violations abort
     loudly: either would be an arithmetic bug, not a mathematical
     possibility."""
@@ -192,6 +214,7 @@ def _checked_columns(p: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"Hecke matrix requires an odd prime, got {p}")
     if n < 1:
         raise ValueError("level must be >= 1")
+    within_cap(n)
     build = _recurrence_columns if p in MODULAR_EQUATIONS else _direct_columns
     cols = tuple(build(p, n))
     for k, c in enumerate(cols):

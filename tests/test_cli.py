@@ -167,6 +167,21 @@ def test_decompose_every_small_m_row(tmp_path, capsys):
         assert out2.splitlines()[1] == f"m,{a} {b}"
 
 
+def test_decompose_fails_when_the_round_trip_disagrees(capsys, monkeypatch):
+    """A q-expansion round trip that comes back with other delta
+    coordinates is one error line and exit 1, with nothing on stdout."""
+    expand = cli.expand_in_delta_basis
+
+    def flip_bit_0(f, n):
+        got = expand(f, n)
+        return spaces.DeltaCoords(got.coords ^ 1, got.level)
+    monkeypatch.setattr(cli, "expand_in_delta_basis", flip_bit_0)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("11,19"))
+    code, out, err = run_cli(capsys, "decompose", "-")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_decompose_rejects_even_exponent(capsys, tmp_path):
     src = tmp_path / "bad.txt"
     src.write_text("4,6")

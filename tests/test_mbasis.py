@@ -83,9 +83,9 @@ def test_uniqueness_certified_at_the_level_cap():
     """The pairing certificate, (i) to (iii) on every row, runs at the level
     cap, and the solve of the top entry ends on its code exponent."""
     table = MBasis()
-    table.ensure_level(mbasis.LEVEL_CAP)
-    assert table.level == mbasis.LEVEL_CAP
-    top = 2 * mbasis.LEVEL_CAP - 1
+    table.ensure_level(spaces.LEVEL_CAP)
+    assert table.level == spaces.LEVEL_CAP
+    top = 2 * spaces.LEVEL_CAP - 1
     assert table.dominant_exponent(*code_of(top)) == top
 
 
@@ -306,6 +306,27 @@ def test_duality_roundtrip(mtable):
         assert mtable.recompose(mtable.coefficients(f)).coords == coords
 
 
+@given(st.integers(1, 512), st.data())
+@example(512, None)
+@settings(max_examples=15, deadline=None)
+def test_recompose_is_the_sum_of_single_solves(n, data):
+    """One solve of a sum of m(a,b) equals the XOR of the single-index
+    solves, and the pairing table reads it back as its index set, on
+    random sets of codes below random levels."""
+    table = MBasis()
+    table.ensure_level(n)
+    indices = (range(n) if data is None else
+               data.draw(st.sets(st.integers(0, n - 1), max_size=64)))
+    support = {code_of(2 * j + 1) for j in indices}
+    acc = 0
+    for a, b in support:
+        acc ^= table.element(a, b).coords
+    assert table.recompose(support) == DeltaCoords(acc, n)
+    assert table.coefficients(DeltaCoords(acc, n)) == support
+    assert table.recompose(set()) == DeltaCoords(0, n)
+    assert MBasis().recompose(set()) == DeltaCoords(0, 1)
+
+
 def test_nilpotence_order(mtable):
     assert mtable.nilpotence_order(mtable.delta_power_coords(1)) == 1
     assert mtable.nilpotence_order(mtable.delta_power_coords(19)) == 4
@@ -497,9 +518,9 @@ def tp_expansion_reference(table, p, degree):
                                                    table.precision)):
         probe |= ((bits >> p) & 1) << i
     return frozenset(
-        (i, j)
-        for (i, j), coords in table._entries.items()
-        if i + j <= degree and (coords & probe).bit_count() & 1
+        (i, d - i)
+        for d in range(degree + 1) for i in range(d + 1)
+        if (table.element(i, d - i).coords & probe).bit_count() & 1
     )
 
 
@@ -635,10 +656,10 @@ def test_witness_verification_catches_a_wrong_exponent(monkeypatch):
 
 
 def test_level_cap_gives_clean_failure(monkeypatch):
-    monkeypatch.setattr(mbasis, "LEVEL_CAP", 4)
+    monkeypatch.setattr(spaces, "LEVEL_CAP", 4)
     small = MBasis()
     with pytest.raises(LevelExhausted):
-        small.ensure(0, 2)  # m(0,2) = delta^17 needs level 9
+        small.element(0, 2)  # m(0,2) = delta^17 needs level 9
 
 
 def _forbid_building(monkeypatch):
@@ -653,7 +674,7 @@ def test_level_over_cap_fails_before_building(monkeypatch):
     table = MBasis()
     for request in (lambda: table.ensure_degree(64),
                     lambda: table.ensure_degree(10 ** 9),
-                    lambda: table.ensure(0, 64),
+                    lambda: table.element(0, 64),
                     lambda: table.delta_power_coords(99999999999)):
         with pytest.raises(LevelExhausted):
             request()
@@ -661,7 +682,7 @@ def test_level_over_cap_fails_before_building(monkeypatch):
 
 
 def test_growth_at_least_doubles_and_respects_the_cap(monkeypatch):
-    monkeypatch.setattr(mbasis, "LEVEL_CAP", 40)
+    monkeypatch.setattr(spaces, "LEVEL_CAP", 40)
     table = MBasis()
     table.ensure_level(3)
     assert table.level == 3
@@ -677,7 +698,30 @@ def test_entries_survive_growth():
     table = MBasis()
     assert table.element(1, 0).support_exponents() == (3,)
     assert table.level == 2
-    table.ensure(0, 2)  # forces growth to level 9
+    table.element(0, 2)  # forces growth to level 9
     assert table.level >= 9
     assert table.element(1, 0).support_exponents() == (3,)
     assert table.element(0, 2).support_exponents() == (17,)
+
+
+def test_the_table_keeps_no_per_entry_state():
+    """At a fixed level and precision, reading 300 entries, a sum, an
+    m-expansion and a T_p table leaves every attribute of the table as it
+    was (the same object, of the same length): no entry is stored."""
+    table = MBasis()
+    table.ensure_level(512)
+    table.ensure_precision(50)
+
+    def snapshot():
+        return {name: (id(value), len(value) if hasattr(value, "__len__")
+                       else None)
+                for name, value in vars(table).items()}
+    before = snapshot()
+    for j in range(300):
+        table.element(*code_of(2 * j + 1))
+    f = table.recompose({(3, 0), (1, 2), (0, 4)})
+    assert table.coefficients(f) == {(3, 0), (1, 2), (0, 4)}
+    table.tp_table(50, 2)
+    assert snapshot() == before
+    assert not [name for name, value in vars(table).items()
+                if isinstance(value, dict)]

@@ -12,7 +12,8 @@ from heckemod2.primes import odd_primes
 from heckemod2.series import (F2Series, PrecisionError, _hecke_bits, _mask,
                               _odd_delta_power_bits, delta, delta_pow, hecke)
 from heckemod2.spaces import (MODULAR_EQUATIONS, AlgebraSpan, DeltaCoords,
-                              NotInSpan, _direct_columns, _greedy_expand,
+                              LevelExhausted, NotInSpan, _direct_columns,
+                              _greedy_expand,
                               algebra_dimension, check_divisibility,
                               commutant_dimension, expand_in_delta_basis,
                               hecke_matrix, kernel, monomial_images,
@@ -221,6 +222,25 @@ def test_modular_equation_vanishes(p):
     for i, j in MODULAR_EQUATIONS[p]:
         total = total + xs[i] * ys[j]
     assert total.is_zero
+
+
+def test_levels_over_the_cap_fail_before_building(monkeypatch):
+    """hecke_matrix, and the algebra and commutant built on it, refuse a
+    level over the cap before any column is computed, whether the prime
+    has a modular equation or not; the cap is read when called."""
+    def refuse(p, n):
+        raise AssertionError(f"built T_{p} at level {n}")
+    monkeypatch.setattr(spaces, "_recurrence_columns", refuse)
+    monkeypatch.setattr(spaces, "_hecke_images", refuse)
+    n = spaces.LEVEL_CAP + 1
+    for request in (lambda: hecke_matrix(3, n), lambda: hecke_matrix(97, n),
+                    lambda: algebra_dimension(n, (3, 5)),
+                    lambda: commutant_dimension(n)):
+        with pytest.raises(LevelExhausted, match=f"level {n} needed"):
+            request()
+    monkeypatch.setattr(spaces, "LEVEL_CAP", 40)
+    with pytest.raises(LevelExhausted, match="over the level cap 40"):
+        hecke_matrix(5, 41)
 
 
 def test_hecke_matrix_rejects_bad_prime():
