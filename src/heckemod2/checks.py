@@ -239,8 +239,8 @@ def check_commutant() -> tuple[list[str], str]:
 @_check("triangularity-nilpotency")
 def check_triangularity() -> tuple[list[str], str]:
     """Every Hecke matrix with p <= 97, n <= 64 is strictly triangular in
-    the exponent-ordered basis (asserted during construction, re-verified
-    here), levels nest, and the matrices are nilpotent."""
+    the exponent-ordered basis (levels below 64, prefixes of level 64, are
+    re-certified when served and here), levels nest, and all are nilpotent."""
     max_level = 64
     bad = []
     for p in odd_primes(97):

@@ -28,15 +28,11 @@ from .gf2 import (apply_columns, bit_flags, even_bits, iter_bits, rank,
                   spread_bits)
 from .primes import odd_primes
 from .series import F2Series, _odd_delta_power_bits
-from .spaces import (DeltaCoords, LevelExhausted, _shown,
-                     expand_in_delta_basis, hecke_matrix, monomial_images,
-                     polynomial_image, within_cap)
+from .spaces import (DeltaCoords, LevelExhausted, expand_in_delta_basis,
+                     hecke_matrix, monomial_images, polynomial_image,
+                     within_budget, within_cap)
 
 MIndex = tuple[int, int]
-
-# the most bits of delta powers (level times precision) a T_p table may
-# build: p_max = 10^7 at degree 2 and 10^6 at degree 24 stay below it
-POWER_BITS_CAP = 1 << 30
 
 # (i mod 2, j mod 2) forced on every monomial of T_p, by p mod 8
 PARITY_PATTERN = {1: (0, 0), 3: (1, 0), 5: (0, 1), 7: (1, 1)}
@@ -349,11 +345,7 @@ class MBasis:
         from the sieve.  A table whose delta powers would hold more than
         POWER_BITS_CAP bits raises LevelExhausted before anything is built."""
         level = within_cap(degree_level(degree))
-        bits = level * (p_max + 1)
-        if bits > POWER_BITS_CAP:
-            raise LevelExhausted(
-                f"{_shown(bits)} bits of delta powers needed, over the level "
-                f"cap's budget of {POWER_BITS_CAP} bits")
+        within_budget(level, p_max)
         primes = odd_primes(p_max)
         self.ensure_level(level)
         self.ensure_precision(p_max)

@@ -4,9 +4,10 @@ column k is the image of delta^(2k+1).
 
 Level n is the n-dimensional space with basis delta, delta^3, ...,
 delta^(2n-1).  In the exponent-ordered basis every Hecke matrix is
-strictly triangular (T_p lowers the leading exponent), which is asserted
-at construction time, as is stability of the level under T_p.  No level
-over LEVEL_CAP is built: `within_cap` raises LevelExhausted first.
+strictly triangular (T_p lowers the leading exponent), and a smaller
+level is a prefix of the columns kept at the largest level built, asserted
+triangular again.  No level over LEVEL_CAP, and no delta powers over
+POWER_BITS_CAP bits, are built: `within_cap` and `within_budget` raise.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .primes import is_odd_prime
 from .series import F2Series, PrecisionError, _hecke_bits, _mask, _odd_delta_power_bits
 
 LEVEL_CAP = 8192
+# the most bits of delta powers (count times precision) one build may read:
+# tp-table's p_max = 10^7 at degree 2 or 10^6 at degree 24, T_97 at 2048
+POWER_BITS_CAP = 1 << 30
 
 
 class NotInSpan(ValueError):
@@ -44,6 +48,15 @@ def within_cap(level: int) -> int:
         raise LevelExhausted(
             f"level {_shown(level)} needed, over the level cap {LEVEL_CAP}")
     return level
+
+
+def within_budget(count: int, precision: int) -> int:
+    """`count`, if that many delta powers through q^precision fit in
+    POWER_BITS_CAP bits; else LevelExhausted."""
+    if (bits := count * (precision + 1)) > POWER_BITS_CAP:
+        raise LevelExhausted(f"{_shown(bits)} bits of delta powers needed, "
+                             f"over the level cap's budget of {POWER_BITS_CAP} bits")
+    return count
 
 
 @dataclass(frozen=True)
@@ -79,7 +92,8 @@ class DeltaCoords:
         return 2 * (self.coords.bit_length() - 1) + 1
 
     def to_series(self, precision: int) -> F2Series:
-        pows = _odd_delta_power_bits(max(self.coords.bit_length(), 1), precision)
+        count = within_budget(max(self.coords.bit_length(), 1), precision)
+        pows = _odd_delta_power_bits(count, precision)
         return F2Series(apply_columns(pows, self.coords), precision)
 
 
@@ -108,14 +122,16 @@ def expand_in_delta_basis(f: F2Series, n: int) -> DeltaCoords:
     Requires precision >= 2n-1.  Greedy elimination on leading exponents;
     an even leading exponent, a leading exponent beyond 2n-1, or a nonzero
     residue all mean f is not in the level-n space at this precision.
+    LevelExhausted (cap or budget) comes before any power is built.
     """
     if n < 1:
         raise ValueError("level must be >= 1")
+    within_cap(n)
     if f.precision < 2 * n - 1:
         raise PrecisionError(
             f"precision {f.precision} too small for level {n} (need {2 * n - 1})"
         )
-    pows = _odd_delta_power_bits(n, f.precision)
+    pows = _odd_delta_power_bits(within_budget(n, f.precision), f.precision)
     return DeltaCoords(_greedy_expand(f.bits, pows, n, f.precision), n)
 
 
@@ -162,39 +178,24 @@ def _recurrence_columns(p: int, n: int) -> list[int]:
     return cols
 
 
-# p -> T_p delta^(2k+1) for k below the largest level N built so far, each
-# exact through q^(2N-1).  No lock: every stored tuple is exact, so a race
-# between two threads only repeats work.
-_images: dict[int, tuple[int, ...]] = {}
-
-
-def _hecke_images(p: int, n: int) -> tuple[int, ...]:
-    """T_p delta^(2k+1) for k = 0..N-1 with N >= n, each exact through
-    q^(2N-1).  Since a_j(T_p f) reads only a_pj and a_(j/p), the delta
-    powers at precision p(2N-1) fix these bits, and bits 0..2n-1 of an
-    image are the same at every N >= n.  A stored tuple of n or more
-    images is reused; a shorter one is rebuilt at exactly n."""
-    images = _images.get(p, ())
-    if len(images) < n:
-        big = p * (2 * n - 1)
-        images = tuple(_hecke_bits(p, bits, big)[0]
-                       for bits in _odd_delta_power_bits(n, big))
-        _images[p] = images
-    return images
+# p -> the certified columns of T_p at the largest level built so far.
+# No lock: every stored tuple is certified, so a race between two threads
+# only repeats work.
+_columns: dict[int, tuple[int, ...]] = {}
 
 
 def _direct_columns(p: int, n: int) -> list[int]:
-    """Columns of T_p on the level-n space from q-expansions: the first n
-    images of `_hecke_images`, truncated at q^(2n-1), expanded back in the
-    delta basis.  Every level runs its own stability certificate on that
-    truncation, whether the images were built for it or for a larger
-    level."""
-    images = _hecke_images(p, n)
-    pows = _odd_delta_power_bits(n, 2 * n - 1)
+    """Columns of T_p on the level-n space from q-expansions: the delta
+    powers at precision p(2n-1) fix each image through q^(2n-1) (a_j(T_p f)
+    reads only a_pj and a_(j/p)), and the same powers expand it back in
+    the delta basis, certifying that the level is stable under T_p."""
+    big = p * (2 * n - 1)
+    pows = _odd_delta_power_bits(within_budget(n, big), big)
     cols = []
-    for k in range(n):
+    for k, bits in enumerate(pows):
+        image = _hecke_bits(p, bits, big)[0]
         try:
-            cols.append(_greedy_expand(images[k], pows, n, 2 * n - 1))
+            cols.append(_greedy_expand(image, pows, n, 2 * n - 1))
         except NotInSpan as exc:
             raise RuntimeError(
                 f"stability violated: T_{p} delta^{2 * k + 1} left level {n} ({exc})"
@@ -204,25 +205,31 @@ def _direct_columns(p: int, n: int) -> list[int]:
 
 def _checked_columns(p: int, n: int) -> tuple[int, ...]:
     """Columns of T_p on the level-n space: column k is the image of
-    delta^(2k+1).  The primes of MODULAR_EQUATIONS come from their
-    recurrence, every other prime from q-expansions.  A level over the
-    cap raises LevelExhausted before anything is built.  Stability of the
-    level and strict triangularity are checked and violations abort
-    loudly: either would be an arithmetic bug, not a mathematical
-    possibility."""
+    delta^(2k+1).  A level over the cap raises LevelExhausted before
+    anything is built.  A level within the stored columns is their prefix;
+    a larger one is built at exactly n (by recurrence for the primes of
+    MODULAR_EQUATIONS, else from q-expansions), certifying stability, and
+    stored once it passes.  Every level returned is checked strictly
+    triangular, which for a prefix of exact delta-coordinates also puts
+    T_p delta^(2k+1), k < n, in level k, so the level is stable.  Either
+    violation is an arithmetic bug, never a mathematical possibility."""
     if not is_odd_prime(p):
         raise ValueError(f"Hecke matrix requires an odd prime, got {p}")
     if n < 1:
         raise ValueError("level must be >= 1")
     within_cap(n)
-    build = _recurrence_columns if p in MODULAR_EQUATIONS else _direct_columns
-    cols = tuple(build(p, n))
+    cols = _columns.get(p, ())[:n]
+    built = len(cols) < n
+    if built:
+        build = _recurrence_columns if p in MODULAR_EQUATIONS else _direct_columns
+        cols = tuple(build(p, n))
     for k, c in enumerate(cols):
         if c >> k:
             raise RuntimeError(
                 f"triangularity violated: T_{p} delta^{2 * k + 1} "
-                f"involves exponents >= {2 * k + 1}"
-            )
+                f"involves exponents >= {2 * k + 1}")
+    if built:
+        _columns[p] = cols
     return cols
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckemod2 import spaces
+from heckemod2 import checks, mbasis, series, spaces
 from heckemod2.gf2 import GF2Matrix, Span, rank
+from heckemod2.mbasis import MBasis
 from heckemod2.primes import odd_primes
 from heckemod2.series import (F2Series, PrecisionError, _hecke_bits, _mask,
                               _odd_delta_power_bits, delta, delta_pow, hecke)
@@ -144,7 +145,7 @@ def test_columns_match_the_per_level_reference_in_any_order(p, levels):
     equals the one built for its level alone."""
     hecke_matrix.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spaces, "_images", {})
+        mp.setattr(spaces, "_columns", {})
         for n in levels:
             want = tuple(direct_columns_reference(p, n))
             assert hecke_matrix(p, n).cols == want
@@ -152,16 +153,47 @@ def test_columns_match_the_per_level_reference_in_any_order(p, levels):
 
 
 def test_a_level_served_from_the_memo_is_certified_again(monkeypatch):
-    """An even power of delta planted in one stored level-16 image is
-    caught at level 8, which reads that image from the memo."""
-    monkeypatch.setattr(spaces, "_images", {})
-    images = list(spaces._hecke_images(11, 16))
-    assert len(images) == 16
-    images[3] ^= 1 << 2
-    spaces._images[11] = tuple(images)
-    with pytest.raises(RuntimeError, match=r"stability violated: T_11 "
-                       r"delta\^7 left level 8 \(even leading exponent 2\)"):
-        _direct_columns(11, 8)
+    """A bit on the diagonal planted in one stored level-16 column is
+    caught at level 8, which serves that column as a prefix."""
+    monkeypatch.setattr(spaces, "_columns", {})
+    hecke_matrix.cache_clear()
+    cols = list(hecke_matrix(11, 16).cols)
+    cols[3] ^= 1 << 3
+    spaces._columns[11] = tuple(cols)
+    with pytest.raises(RuntimeError, match=r"triangularity violated: T_11 "
+                       r"delta\^7 involves exponents >= 7"):
+        hecke_matrix(11, 8)
+
+
+def test_a_fault_in_the_memo_fails_the_triangularity_check(monkeypatch):
+    """The same planted bit, in stored level-64 columns, makes the check
+    that serves every level below 64 from them fail with its message."""
+    hecke_matrix.cache_clear()
+    cols = list(hecke_matrix(11, 64).cols)
+    cols[3] ^= 1 << 3
+    monkeypatch.setattr(spaces, "_columns", {11: tuple(cols)}, raising=False)
+    hecke_matrix.cache_clear()
+    result = checks.check_triangularity()
+    assert not result.passed
+    assert result.details.startswith("RuntimeError: triangularity violated: "
+                                     "T_11 delta^7")
+
+
+@pytest.mark.parametrize("p", [3, 11])
+def test_smaller_levels_are_prefixes_of_the_largest(monkeypatch, p):
+    """Once level 64 is built, every smaller level is served as its prefix:
+    the same column objects, with neither builder run again."""
+    hecke_matrix.cache_clear()
+    big = hecke_matrix(p, 64).cols
+
+    def refuse(p, n):
+        raise AssertionError(f"built T_{p} at level {n}")
+    monkeypatch.setattr(spaces, "_recurrence_columns", refuse)
+    monkeypatch.setattr(spaces, "_direct_columns", refuse)
+    for n in range(1, 64):
+        cols = hecke_matrix(p, n).cols
+        assert len(cols) == n
+        assert all(c is big[k] for k, c in enumerate(cols))
 
 
 def test_each_prime_reads_its_hecke_images_once(monkeypatch):
@@ -174,12 +206,12 @@ def test_each_prime_reads_its_hecke_images_once(monkeypatch):
         calls.append(args)
         return _hecke_bits(*args)
     monkeypatch.setattr(spaces, "_hecke_bits", spy)
-    monkeypatch.setattr(spaces, "_images", {})
+    monkeypatch.setattr(spaces, "_columns", {})
     hecke_matrix.cache_clear()
     for n in range(64, 0, -1):
         hecke_matrix(11, n)
     assert len(calls) == 64
-    spaces._images.clear()
+    spaces._columns.clear()
     hecke_matrix.cache_clear()
     calls.clear()
     for n in range(1, 9):
@@ -231,7 +263,7 @@ def test_levels_over_the_cap_fail_before_building(monkeypatch):
     def refuse(p, n):
         raise AssertionError(f"built T_{p} at level {n}")
     monkeypatch.setattr(spaces, "_recurrence_columns", refuse)
-    monkeypatch.setattr(spaces, "_hecke_images", refuse)
+    monkeypatch.setattr(spaces, "_direct_columns", refuse)
     n = spaces.LEVEL_CAP + 1
     for request in (lambda: hecke_matrix(3, n), lambda: hecke_matrix(97, n),
                     lambda: algebra_dimension(n, (3, 5)),
@@ -241,6 +273,33 @@ def test_levels_over_the_cap_fail_before_building(monkeypatch):
     monkeypatch.setattr(spaces, "LEVEL_CAP", 40)
     with pytest.raises(LevelExhausted, match="over the level cap 40"):
         hecke_matrix(5, 41)
+
+
+@pytest.mark.parametrize("request_, match", [
+    # f at precision 10^6 is expanded at level 500000
+    (lambda: MBasis().coefficients(F2Series(2, 10 ** 6)),
+     "level 500000 needed"),
+    (lambda: expand_in_delta_basis(F2Series(2, 2 * 10 ** 6), 10 ** 6),
+     "level 1000000 needed"),
+    # 4096 powers at precision 97 * 8191 hold 3.3e9 bits
+    (lambda: hecke_matrix(97, 4096), "bits of delta powers needed"),
+    (lambda: expand_in_delta_basis(F2Series(2, 2 ** 20), 8192),
+     "bits of delta powers needed"),
+    (lambda: DeltaCoords(1 << 8191, 8192).to_series(2 ** 20),
+     "bits of delta powers needed"),
+    (lambda: MBasis().tp_table(10 ** 9, 2), "bits of delta powers needed"),
+], ids=["coefficients-level", "expand-level", "hecke-matrix-budget",
+        "expand-budget", "to-series-budget", "tp-table-budget"])
+def test_work_over_the_cap_or_budget_builds_no_delta_power(monkeypatch,
+                                                             request_, match):
+    """A level over the cap, or delta powers over POWER_BITS_CAP bits, is
+    refused before any power is read, wherever the powers are asked for."""
+    def refuse(count, precision):
+        raise AssertionError(f"built {count} powers at precision {precision}")
+    for module in (series, spaces, mbasis):
+        monkeypatch.setattr(module, "_odd_delta_power_bits", refuse)
+    with pytest.raises(LevelExhausted, match=match):
+        request_()
 
 
 def test_hecke_matrix_rejects_bad_prime():

@@ -33,8 +33,19 @@ MARKER = "PERFBENCH "
     ["verify", "--suite", "theta"],
     # the last four checks, so that all 21 run traced through the harness
     ["verify", "--suite", "mbasis"],
+    # the commands of the mbasis-deep workload, at level 1024; FILE is a
+    # file of odd exponents
+    ["m-table", "--degree", "24", "--format", "csv"],
+    ["code-of", "1507"],
+    ["decompose", "FILE", "--format", "csv"],
+    # the command of the theta-deep workload
+    ["theta-table", "--c", "4", "--n-max", "7", "--precision", "5461",
+     "--format", "csv"],
 ])
-def test_traced_command_has_no_absent_target(argv):
+def test_traced_command_has_no_absent_target(argv, tmp_path):
+    exponents = tmp_path / "exponents.txt"
+    exponents.write_text("1025,1331,2047,1507,1331")
+    argv = [str(exponents) if arg == "FILE" else arg for arg in argv]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
