@@ -9,6 +9,11 @@ behind `_odd_delta_power_bits`: it is built on first use, it grows only
 at the precision of the request that grows it (another precision
 restarts it with the powers asked for), and each entry is an exact
 truncation of its delta power, so sharing it changes no result.
+
+Delta powers come from Frobenius: over GF(2), delta^(2^j) = delta(q^(2^j)),
+the odd squares scaled by 2^j, a factor with about sqrt(P / 2^j) / 2 terms
+below a precision P.  So an odd power delta^k is delta times one such
+sparse factor per set bit j >= 1 of k.
 """
 
 from __future__ import annotations
@@ -111,11 +116,17 @@ class F2Series:
         return f"F2Series({shown}; O(q^{self._prec + 1}))"
 
 
+def _odd_squares(scale: int, precision: int) -> list[int]:
+    """The support of delta(q^scale) through `precision`: scale * o^2 for
+    odd o, ascending."""
+    odd = range(1, isqrt(max(precision, 0) // scale) + 1, 2)
+    return [scale * o * o for o in odd]
+
+
 def delta(precision: int) -> F2Series:
     """The generating series of odd squares: coefficient of q^k is 1 iff
     k = (2m+1)^2 for some m >= 0."""
-    odd = range(1, isqrt(max(precision, 0)) + 1, 2)
-    return F2Series.from_exponents((o * o for o in odd), precision)
+    return F2Series.from_exponents(_odd_squares(1, precision), precision)
 
 
 def mul(f: F2Series, g: F2Series) -> F2Series:
@@ -141,19 +152,19 @@ def square(f: F2Series) -> F2Series:
 
 
 def delta_pow(k: int, precision: int) -> F2Series:
-    """The k-th power of delta(precision), k odd >= 1, by square-and-multiply.
+    """The k-th power of delta(precision), k odd >= 1: delta times
+    delta(q^(2^j)) = delta^(2^j) for each set bit j >= 1 of k, one `mul`
+    by a sparse factor each.
 
     Even or nonpositive k is rejected: the ambient space is spanned by the
     odd powers only.
     """
     if k <= 0 or k % 2 == 0:
         raise ValueError(f"delta power must be odd and positive, got {k}")
-    d = delta(precision)
-    acc = d
-    for bit in bin(k)[3:]:
-        acc = square(acc)
-        if bit == "1":
-            acc = mul(acc, d)
+    acc = delta(precision)
+    for j in iter_bits(k >> 1):
+        factor = F2Series.from_exponents(_odd_squares(2 << j, precision), precision)
+        acc = mul(acc, factor)
     return acc
 
 
@@ -171,24 +182,29 @@ def _odd_delta_power_bits(count: int, precision: int) -> list[int]:
     Served from the shared table when it holds `count` powers at
     `precision` or more.  Otherwise a request at another precision
     restarts it at exactly that precision, and more powers extend it by
-    delta^2: one shifted copy per exponent of delta^2 (read once), XORed
-    in one at a time.  The returned list is a fresh copy, never changed.
+    delta^(2i+1) = delta^(2(i-h)+1) * delta(q^(2h)), h the top bit of
+    i >= 1: entry i - h shifted by 2h * o^2 for each odd o with
+    2h * o^2 <= precision, the copies XORed in one at a time, then masked.
+    Both factors are exact through the precision, so the masked product
+    is the exact truncation too.  Near count = precision / 2 most entries
+    are a single shifted copy.  The returned list is a fresh copy, never
+    changed.
     """
     global _powers, _powers_precision
     with _powers_lock:
         if precision > _powers_precision or (
                 count > len(_powers) and precision != _powers_precision):
             _powers, _powers_precision = [delta(precision).bits], precision
-        if count > len(_powers):
-            shifts = square(delta(precision)).support()
-            mask = _mask(precision)
-            cur = _powers[-1]
-            for _ in range(count - len(_powers)):
+        mask = _mask(precision)
+        while len(_powers) < count:
+            # entries h..2h-1 share the top bit h, so one list of shifts
+            h = 1 << (len(_powers).bit_length() - 1)
+            shifts = _odd_squares(2 * h, precision)
+            for base in _powers[len(_powers) - h:min(count, 2 * h) - h]:
                 acc = 0
                 for s in shifts:
-                    acc ^= cur << s
-                cur = acc & mask
-                _powers.append(cur)
+                    acc ^= base << s
+                _powers.append(acc & mask)
         return _powers[:count]
 
 

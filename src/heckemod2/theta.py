@@ -33,13 +33,20 @@ def _validate_c(c: int):
 
 
 def theta_series(t: int, n: int, c: int, precision: int) -> F2Series:
-    """q-expansion of the theta series of index (t, n), form x^2 + c*y^2."""
+    """q-expansion of the theta series of index (t, n), form x^2 + c*y^2.
+
+    The coefficients live in one buffer of binary digits, digits[precision
+    - e] for q^e: each lattice point toggles its digit, so the points b and
+    -b cancel exactly, and the buffer is read as an int once at the end.
+    """
     _validate_c(c)
     if n < 0:
         raise ValueError("n must be >= 0")
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
     modulus = 1 << n
     t %= modulus
-    bits = 0
+    digits = bytearray(b"0" * (precision + 1))
     a = 1
     while a * a <= precision:
         bound = isqrt((precision - a * a) // c)
@@ -47,10 +54,10 @@ def theta_series(t: int, n: int, c: int, precision: int) -> F2Series:
         k = -((bound + r) // modulus)
         b = r + k * modulus
         while b <= bound:
-            bits ^= 1 << (a * a + c * b * b)
+            digits[precision - a * a - c * b * b] ^= 1
             b += modulus
         a += 2
-    return F2Series(bits, precision)
+    return F2Series(int(digits, 2), precision)
 
 
 def theta_coords(t: int, n: int, c: int, level: int) -> DeltaCoords:

@@ -69,6 +69,17 @@ def odd_delta_power_bits_reference(count: int, precision: int) -> list[int]:
     return out
 
 
+def delta_pow_reference(k: int, precision: int) -> F2Series:
+    """Reference power: delta^k by square-and-multiply with the dense delta."""
+    d = delta(precision)
+    acc = d
+    for bit in bin(k)[3:]:
+        acc = square(acc)
+        if bit == "1":
+            acc = mul(acc, d)
+    return acc
+
+
 @contextmanager
 def fresh_power_table():
     """Run with the shared delta-power table emptied, then restore it."""
@@ -168,6 +179,17 @@ def test_delta_pow_leading_exponent():
         assert delta_pow(k, 100).leading_exponent() == k
 
 
+@given(st.integers(0, 2047), st.integers(0, 3999))
+@example(2047, 3999)
+@example(1023, 0)
+@settings(max_examples=150, deadline=None)
+def test_delta_pow_matches_square_and_multiply(half, precision):
+    """One sparse Frobenius factor per set bit of k against square-and-
+    multiply with the dense delta, bit for bit."""
+    k = 2 * half + 1
+    assert delta_pow(k, precision).bits == delta_pow_reference(k, precision).bits
+
+
 @pytest.mark.parametrize("k", [0, -3, 2, 10])
 def test_delta_pow_rejects_even(k):
     with pytest.raises(ValueError):
@@ -242,6 +264,37 @@ def test_power_table_serves_exact_truncations(requests):
             returned.append((pows, list(pows)))
         for pows, snapshot in returned:
             assert pows == snapshot
+
+
+@st.composite
+def power_table_requests(draw):
+    """(count, precision) with count up to 600, so the table crosses the top
+    bits 64..512, and precision from 2 * count - 1, where most powers are
+    one shifted copy, up to the 100 * count that `_direct_columns` asks."""
+    count = draw(st.integers(1, 600))
+    return count, draw(st.integers(2 * count - 1, 100 * count))
+
+
+@given(power_table_requests())
+@example((600, 1199))
+@example((513, 51300))
+@settings(max_examples=25, deadline=None)
+def test_power_table_by_frobenius_matches_the_reference(request):
+    count, precision = request
+    with fresh_power_table():
+        pows = _odd_delta_power_bits(count, precision)
+    assert pows == odd_delta_power_bits_reference(count, precision)
+
+
+def test_power_table_at_the_cap_matches_delta_pow():
+    """The whole table at level 8192, precision 16383, read at the ends of
+    the top-bit blocks and at seeded random indices."""
+    rng = random.Random(8192)
+    indices = [0, 1, 2, 4095, 4096, 8191] + rng.sample(range(8192), 6)
+    with fresh_power_table():
+        pows = _odd_delta_power_bits(8192, 16383)
+    for i in indices:
+        assert pows[i] == delta_pow(2 * i + 1, 16383).bits, i
 
 
 def test_power_table_regrows_precision_with_only_the_requested_powers():

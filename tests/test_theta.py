@@ -6,6 +6,8 @@ import tracemalloc
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heckemod2 import checks, theta
 from heckemod2.primes import odd_primes
@@ -41,6 +43,35 @@ def theta_oracle(t, n, c, precision):
             if e <= precision and (b - t * a) % modulus == 0:
                 counts[e] = counts.get(e, 0) ^ 1
     return F2Series.from_exponents([e for e, v in counts.items() if v], precision)
+
+
+def theta_series_reference(t, n, c, precision):
+    """Reference theta series: the same lattice walk as `theta_series`,
+    one precision-wide int XOR per lattice point."""
+    modulus = 1 << n
+    t %= modulus
+    bits = 0
+    a = 1
+    while a * a <= precision:
+        bound = isqrt((precision - a * a) // c)
+        r = (t * a) % modulus
+        k = -((bound + r) // modulus)
+        b = r + k * modulus
+        while b <= bound:
+            bits ^= 1 << (a * a + c * b * b)
+            b += modulus
+        a += 2
+    return F2Series(bits, precision)
+
+
+@given(st.integers(-300, 300), st.integers(0, 7), st.sampled_from((2, 4)),
+       st.integers(0, 5000))
+@example(0, 7, 2, 0)
+@example(-300, 0, 4, 5000)
+@settings(max_examples=150, deadline=None)
+def test_theta_digit_buffer_matches_reference(t, n, c, precision):
+    assert (theta_series(t, n, c, precision).bits
+            == theta_series_reference(t, n, c, precision).bits)
 
 
 def test_theta_matches_oracle():
