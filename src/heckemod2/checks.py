@@ -16,14 +16,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
 
-from .gf2 import lowest_bit, parity, rank
+from .gf2 import lowest_bit, parity, prefix_ranks, rank
 from .mbasis import (MBasis, chain_coefficients, code_exponent, code_level,
                      frobenian_report, odd_b_representations,
                      parity_pattern_holds, stacked_kernel_is_trivial)
 from .primes import odd_prime_factors, odd_primes
 from .series import F2Series, delta_pow, hecke
 from .spaces import (AlgebraSpan, DeltaCoords, check_divisibility,
-                     commutant_dimension, hecke_matrix, nilpotency_index)
+                     commutant_dimension, hecke_matrix,
+                     level_nilpotency_indices)
 from .theta import (CompositionLaw, boundary, t_of_prime, theta_coords,
                     theta_series, verify_composition_group,
                     verify_hecke_on_theta, verify_kernel_characterization,
@@ -214,17 +215,21 @@ def check_dominant_exponents() -> tuple[list[str], str]:
 @_check("hecke-algebra-dimension")
 def check_algebra_dimension() -> tuple[list[str], str]:
     """The unital algebra generated by T_3 and T_5 on the level-n space has
-    dimension exactly n, and every T_p with p <= 31 already lies in it."""
-    extra = [p for p in odd_primes(31) if p not in (3, 5)]
-    bad = []
-    for n in range(1, 65):
-        span = AlgebraSpan(n, (3, 5))
-        if span.dimension != n:
-            bad.append(f"dim at level {n} = {span.dimension}")
-            continue
-        for p in extra:
-            if not span.contains(hecke_matrix(p, n)):
-                bad.append(f"T_{p} outside the T_3,T_5 algebra at level {n}")
+    dimension exactly n, and every T_p with p <= 31 already lies in it.
+
+    Levels nest and each is invariant under every T_p, so restricting to
+    level n is an algebra map from the algebra at level 64 onto the one at
+    level n: one closure at level 64 gives every dimension
+    (`AlgebraSpan.level_dimensions`), and T_p in the algebra at level 64
+    restricts to T_p in the algebra at every level below."""
+    top = 64
+    span = AlgebraSpan(top, (3, 5))
+    bad = [f"dim at level {n} = {d}"
+           for n, d in enumerate(span.level_dimensions()) if n and d != n]
+    if span.dimension == top:
+        bad += [f"T_{p} outside the T_3,T_5 algebra at level {top}"
+                for p in odd_primes(31) if p not in (3, 5)
+                and not span.contains(hecke_matrix(p, top))]
     return bad, "dim = n for n<=64; generators up to 31 add nothing"
 
 
@@ -240,7 +245,11 @@ def check_commutant() -> tuple[list[str], str]:
 def check_triangularity() -> tuple[list[str], str]:
     """Every Hecke matrix with p <= 97, n <= 64 is strictly triangular in
     the exponent-ordered basis (levels below 64, prefixes of level 64, are
-    re-certified when served and here), levels nest, and all are nilpotent."""
+    re-certified when served and here), levels nest, and all are nilpotent.
+
+    The nilpotency index at every level n is read off the level-64 columns
+    (`level_nilpotency_indices`): the longest chain T^i delta^(2k+1),
+    k < n, which stays in level n since T is triangular."""
     max_level = 64
     bad = []
     for p in odd_primes(97):
@@ -252,10 +261,11 @@ def check_triangularity() -> tuple[list[str], str]:
                 bad.append(f"T_{p} level {n} not strictly triangular")
             elif cols != big.cols[:n]:
                 bad.append(f"T_{p} level {n} not nested in level {max_level}")
+    index = {p: level_nilpotency_indices(hecke_matrix(p, max_level).cols)
+             for p in (3, 5, 7)}
     for n in range(1, max_level + 1):
         for p in (3, 5, 7):
-            s = nilpotency_index(hecke_matrix(p, n))
-            if s > n:
+            if (s := index[p][n]) > n:
                 bad.append(f"T_{p} nilpotency index {s} > {n}")
     return bad[:4], f"all odd p<=97 at every level n<={max_level}; nilpotent"
 
@@ -329,35 +339,43 @@ def check_pairing_formula() -> tuple[list[str], str]:
 @_check("generation-by-pairs")
 def check_generation_pairs() -> tuple[list[str], str]:
     """Any pair T_p, T_p' with p = 3 mod 8 and p' = 5 mod 8 generates the
-    full algebra (checked for p, p' <= 37, levels up to 32)."""
+    full algebra (checked for p, p' <= 37, levels up to 32).
+
+    Restriction to level n is an algebra map onto the algebra the level-n
+    matrices generate, so one closure per pair at level 32 gives the
+    dimension at every level (`AlgebraSpan.level_dimensions`)."""
     ps = [p for p in odd_primes(37) if p % 8 == 3]
     qs = [p for p in odd_primes(37) if p % 8 == 5]
-    bad = []
-    for n in range(1, 33):
-        for p in ps:
-            for q in qs:
-                span = AlgebraSpan(n, (p, q))
-                if span.dimension != n:
-                    bad.append(f"(T_{p},T_{q}) at level {n}")
+    top = 32
+    dims = {(p, q): AlgebraSpan(top, (p, q)).level_dimensions()
+            for p in ps for q in qs}
+    bad = [f"(T_{p},T_{q}) at level {n}" for n in range(1, top + 1)
+           for p in ps for q in qs if dims[p, q][n] != n]
     return bad, f"{len(ps)}x{len(qs)} pairs, levels <= 32"
 
 
 @_check("kernel-equality")
 def check_kernel_equality() -> tuple[list[str], str]:
     """T_p has the same kernel as T_3 when p = 3 mod 8, and as T_5 when
-    p = 5 mod 8: T_p, T_base and [T_p; T_base] have one rank, n <= 32."""
-    bad = []
-    for n in range(1, 33):
-        for base, cls in ((3, 3), (5, 5)):
-            ref = hecke_matrix(base, n).cols
-            r_ref = rank(ref)
-            for p in odd_primes(100):
-                if p % 8 != cls or p == base:
-                    continue
-                cols = hecke_matrix(p, n).cols
-                stacked = [c | r << n for c, r in zip(cols, ref)]
-                if not (rank(cols) == r_ref == rank(stacked)):
-                    bad.append(f"ker T_{p} != ker T_{base} at level {n}")
+    p = 5 mod 8: T_p, T_base and [T_p; T_base] have one rank, n <= 32.
+
+    Level n's matrix is the first n columns at level 32, so each rank at
+    every level is read off one incremental span (`prefix_ranks`) of the
+    level-32 columns, stacked as c | r << 32 for [T_p; T_base]."""
+    top = 32
+    level_ranks = {}
+    for base in (3, 5):
+        ref = hecke_matrix(base, top).cols
+        ref_ranks = prefix_ranks(ref)
+        for p in odd_primes(100):
+            if p % 8 == base and p != base:
+                cols = hecke_matrix(p, top).cols
+                stacked = [c | r << top for c, r in zip(cols, ref)]
+                level_ranks[base, p] = list(zip(
+                    prefix_ranks(cols), ref_ranks, prefix_ranks(stacked)))
+    bad = [f"ker T_{p} != ker T_{base} at level {n}" for n in range(1, top + 1)
+           for (base, p), ranks in level_ranks.items()
+           if len(set(ranks[n])) > 1]
     return bad, "p<=100 in both classes, n<=32"
 
 

@@ -4,8 +4,8 @@ Vectors are Python ints (bit i = coordinate i); a matrix is a tuple of
 column ints.  `apply_columns` is the one matrix-vector product, `chain`
 gives its powers, and `Span` is the one elimination engine: an echelon
 basis pivoting on the highest set bit, so every result is deterministic.
-`rank` and `LinearSolver` read their answers off a `Span`, and every loop
-over the set bits of an int goes through `iter_bits`.
+`rank`, `prefix_ranks` and `LinearSolver` read their answers off a `Span`,
+and every loop over the set bits of an int goes through `iter_bits`.
 """
 
 from __future__ import annotations
@@ -136,6 +136,16 @@ class Span:
 def rank(vectors: Iterable[int]) -> int:
     """GF(2) rank of a collection of bitset vectors."""
     return Span(vectors).dimension
+
+
+def prefix_ranks(vectors: Iterable[int]) -> list[int]:
+    """ranks[k], the GF(2) rank of the first k vectors, k = 0..len: one
+    incremental `Span`."""
+    span = Span()
+    ranks = [0]
+    for v in vectors:
+        ranks.append(ranks[-1] + span.add(v))
+    return ranks
 
 
 class GF2Matrix:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 
 from .gf2 import (GF2Matrix, Span, apply_columns, chain, column_stride,
                   even_bits, flat_product, iter_bits, lowest_bit, rank)
@@ -251,7 +251,7 @@ class AlgebraSpan:
             raise ValueError("need at least one generator prime")
         self.n = n
         self.generators = tuple(sorted(set(generators)))
-        gens = [hecke_matrix(p, n).cols for p in self.generators]
+        self._gens = gens = [hecke_matrix(p, n).cols for p in self.generators]
         stride = column_stride(n)
         queue = [GF2Matrix.identity(n).to_vector()]
         self._span = Span(queue)
@@ -265,6 +265,33 @@ class AlgebraSpan:
     @property
     def dimension(self) -> int:
         return self._span.dimension
+
+    def level_dimensions(self) -> tuple[int, ...]:
+        """dims[m], m = 0..n: the dimension of the algebra restricted to
+        level m, the span of the first m basis vectors.
+
+        Every generator must be upper triangular (ValueError otherwise), so
+        each level is invariant and restriction to it is an algebra map
+        onto the algebra its prefix columns generate.  A word restricts to
+        its first m columns, the bits below m*n, and the rank of that
+        projection is the number of echelon vectors whose lowest bit lies
+        below m*n once the echelon is rebuilt on lowest bits: one `Span` of
+        the bit-reversed vectors, whose highest pivot bit is the lowest
+        original one."""
+        n = self.n
+        for p, cols in zip(self.generators, self._gens):
+            for j, c in enumerate(cols):
+                if c >> j + 1:
+                    raise ValueError(f"T_{p} column {j} has a bit above {j}, "
+                                     f"so level {j + 1} is not invariant")
+        width = n * n
+        low = Span(int(format(v, f"0{width}b")[::-1], 2)
+                   for _, v in self._span.echelon())
+        # a lowest bit in column j counts at every level m > j
+        counts = [0] * (n + 1)
+        for top, _ in low.echelon():
+            counts[(width - 1 - top) // n + 1] += 1
+        return tuple(accumulate(counts))
 
     def contains(self, m: GF2Matrix) -> bool:
         if m.n != self.n:
@@ -307,6 +334,15 @@ def nilpotency_index(m: GF2Matrix) -> int:
         power = m.mul(power)
         s += 1
     return s
+
+
+def level_nilpotency_indices(cols: tuple[int, ...]) -> tuple[int, ...]:
+    """index[n], n = 0..len(cols): the nilpotency index of the matrix with
+    upper triangular columns `cols` restricted to level n, the longest
+    chain of a basis vector k < n (`chain` raises if one does not end): a
+    running maximum, with index[0] = 1 for the zero space."""
+    return tuple(accumulate((sum(1 for _ in chain(cols, 1 << k))
+                             for k in range(len(cols))), max, initial=1))
 
 
 def monomial_images(t3: tuple[int, ...], t5: tuple[int, ...], v: int):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from heckemod2.gf2 import (GF2Matrix, LinearSolver, Span, apply_columns,
                            bit_flags, chain, column_stride, flat_product,
-                           iter_bits, lowest_bit, rank)
+                           iter_bits, lowest_bit, prefix_ranks, rank)
 from heckemod2.spaces import kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heckemod2"
@@ -152,6 +152,13 @@ def test_rank_matches_exhaustive_span():
         for v in vecs:
             reachable |= {x ^ v for x in reachable}
         assert 1 << rank(vecs) == len(reachable)
+
+
+@given(vector_families())
+@settings(max_examples=100, deadline=None)
+def test_prefix_ranks_against_rank_of_each_prefix(family):
+    vecs, _ = family
+    assert prefix_ranks(vecs) == [rank(vecs[:k]) for k in range(len(vecs) + 1)]
 
 
 def test_apply_rejects_a_vector_longer_than_the_matrix():

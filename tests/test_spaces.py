@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckemod2 import checks, mbasis, series, spaces
-from heckemod2.gf2 import GF2Matrix, Span, rank
+from heckemod2.gf2 import GF2Matrix, Span, prefix_ranks, rank
 from heckemod2.mbasis import MBasis
 from heckemod2.primes import odd_primes
 from heckemod2.series import (F2Series, PrecisionError, _hecke_bits, _mask,
@@ -17,8 +17,9 @@ from heckemod2.spaces import (MODULAR_EQUATIONS, AlgebraSpan, DeltaCoords,
                               _greedy_expand,
                               algebra_dimension, check_divisibility,
                               commutant_dimension, expand_in_delta_basis,
-                              hecke_matrix, kernel, monomial_images,
-                              nilpotency_index, polynomial_image)
+                              hecke_matrix, kernel, level_nilpotency_indices,
+                              monomial_images, nilpotency_index,
+                              polynomial_image)
 
 # -- delta-basis expansion ----------------------------------------------------
 
@@ -453,6 +454,112 @@ def test_algebra_requires_generators():
         algebra_dimension(4, ())
 
 
+# -- every level off the top one -------------------------------------------------
+
+
+def serve_prefixes(monkeypatch, gens):
+    """Serve `hecke_matrix(label, m)` as the first m columns of gens[label],
+    as `spaces.hecke_matrix` serves a smaller level of a Hecke matrix."""
+    monkeypatch.setattr(spaces, "hecke_matrix",
+                        lambda p, m: GF2Matrix(gens[p][:m], m))
+
+
+@st.composite
+def upper_triangular_sets(draw):
+    """A level n <= 12 and 1 to 3 upper triangular generators on it, keyed
+    by label: column j has bits at or below j, the diagonal included."""
+    n = draw(st.integers(1, 12))
+    count = draw(st.integers(1, 3))
+    return n, {label: [draw(st.integers(0, (2 << j) - 1)) for j in range(n)]
+               for label in range(count)}
+
+
+@given(upper_triangular_sets())
+@settings(max_examples=120, deadline=None)
+def test_level_dimensions_match_per_level_closure(system):
+    """The dimensions read off one closure at level n equal those of a
+    closure at every level m <= n, for random upper triangular generators."""
+    n, gens = system
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        serve_prefixes(monkeypatch, gens)
+        dims = AlgebraSpan(n, tuple(gens)).level_dimensions()
+        assert dims == (0, *(AlgebraSpan(m, tuple(gens)).dimension
+                             for m in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("gens", [(3, 11), (7,), (7, 23), (13, 29, 7)])
+def test_level_dimensions_of_hecke_sets_that_do_not_generate(gens):
+    dims = AlgebraSpan(32, gens).level_dimensions()
+    assert dims[32] < 32
+    assert dims == (0, *(algebra_dimension(m, gens) for m in range(1, 33)))
+
+
+def test_level_dimensions_reject_a_generator_that_is_not_triangular(monkeypatch):
+    """A bit below the diagonal leaves a level that is not invariant, so
+    restriction is no algebra map: refused rather than counted."""
+    cols = list(hecke_matrix(3, 8).cols)
+    cols[5] |= 1 << 6
+    serve_prefixes(monkeypatch, {3: cols, 5: hecke_matrix(5, 8).cols})
+    span = AlgebraSpan(8, (3, 5))
+    with pytest.raises(ValueError, match="T_3 column 5 has a bit above 5"):
+        span.level_dimensions()
+
+
+def test_algebra_checks_build_one_closure_per_generator_set(monkeypatch):
+    built = []
+
+    class Spy(AlgebraSpan):
+        def __init__(self, n, generators):
+            built.append((n, tuple(generators)))
+            super().__init__(n, generators)
+
+    monkeypatch.setattr(checks, "AlgebraSpan", Spy)
+    assert checks.check_algebra_dimension().passed
+    assert built == [(64, (3, 5))]
+    built.clear()
+    assert checks.check_generation_pairs().passed
+    assert built == [(32, (p, q)) for p in (3, 11, 19) for q in (5, 13, 29, 37)]
+
+
+def test_a_t7_outside_the_algebra_fails_at_level_64(monkeypatch):
+    """T_7 plus the matrix unit sending delta^3 to delta does not commute
+    with T_3, so it lies outside the commutative algebra."""
+    def planted(p, n):
+        m = hecke_matrix(p, n)
+        if p != 7:
+            return m
+        return GF2Matrix([c ^ (k == 1) for k, c in enumerate(m.cols)], n)
+
+    monkeypatch.setattr(checks, "hecke_matrix", planted)
+    t3, t7 = hecke_matrix(3, 64), planted(7, 64)
+    assert t3.mul(t7) != t7.mul(t3)
+    result = checks.check_algebra_dimension()
+    assert not result.passed
+    assert result.details == "T_7 outside the T_3,T_5 algebra at level 64"
+
+
+def test_a_corrupted_generator_lists_its_failing_levels_ascending(monkeypatch):
+    """With T_5 (resp. T_13) served as zero, each check lists the levels
+    where the algebra falls short, in ascending order, with the dimensions
+    of the per-level closure."""
+    zero = {5}
+    monkeypatch.setattr(spaces, "hecke_matrix", lambda p, n: (
+        GF2Matrix.zero(n) if p in zero else hecke_matrix(p, n)))
+    want = [(n, d) for n in range(1, 65)
+            if (d := algebra_dimension(n, (3, 5))) != n]
+    assert want
+    result = checks.check_algebra_dimension()
+    assert not result.passed
+    assert result.details == "; ".join(f"dim at level {n} = {d}"
+                                       for n, d in want)
+    zero = {13}
+    want = [f"(T_{p},T_13) at level {n}" for n in range(1, 33)
+            for p in (3, 11, 19) if algebra_dimension(n, (p, 13)) != n]
+    assert want
+    result = checks.check_generation_pairs()
+    assert result.details == "; ".join(want)
+
+
 # -- commutant ----------------------------------------------------------------------
 
 
@@ -511,6 +618,24 @@ def test_nilpotency_examples():
 def test_nilpotency_rejects_identity():
     with pytest.raises(ValueError):
         nilpotency_index(GF2Matrix.identity(4))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_level_nilpotency_indices_match_nilpotency_index(p):
+    """The indices at every level n <= 64, read off the level-64 columns,
+    equal `nilpotency_index` of each level's matrix."""
+    index = level_nilpotency_indices(hecke_matrix(p, 64).cols)
+    assert index == (1, *(nilpotency_index(hecke_matrix(p, n))
+                          for n in range(1, 65)))
+
+
+def test_level_nilpotency_indices_of_small_matrices():
+    assert level_nilpotency_indices(()) == (1,)
+    assert level_nilpotency_indices((0, 0, 0)) == (1, 1, 1, 1)
+    # delta^5 -> delta^3 -> delta -> 0
+    assert level_nilpotency_indices((0, 0b1, 0b10)) == (1, 1, 2, 3)
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        level_nilpotency_indices((0b1,))
 
 
 # -- divisibility -----------------------------------------------------------------------
@@ -600,6 +725,28 @@ def test_kernel_of_t5_at_level_2_is_everything():
 def test_delta5_not_in_kernel_of_t5():
     m = hecke_matrix(5, 3)
     assert m.apply(0b100) != 0
+
+
+def test_prefix_ranks_match_per_level_ranks():
+    """The kernel-equality ranks read off one span of the level-32 columns
+    (the stacked ones as c | r << 32) equal the per-level ranks, for every
+    p < 100 in both classes and every n <= 32."""
+    for base in (3, 5):
+        ref = hecke_matrix(base, 32).cols
+        ref_ranks = prefix_ranks(ref)
+        for p in odd_primes(100):
+            if p % 8 != base:
+                continue
+            cols = hecke_matrix(p, 32).cols
+            ranks = prefix_ranks(cols)
+            stacked = prefix_ranks(c | r << 32 for c, r in zip(cols, ref))
+            for n in range(1, 33):
+                small = hecke_matrix(p, n).cols
+                small_ref = hecke_matrix(base, n).cols
+                assert ranks[n] == rank(small)
+                assert ref_ranks[n] == rank(small_ref)
+                assert stacked[n] == rank(c | r << n
+                                          for c, r in zip(small, small_ref))
 
 
 def test_kernel_equality_within_residue_class():
