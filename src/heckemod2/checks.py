@@ -26,7 +26,7 @@ from .spaces import (AlgebraSpan, DeltaCoords, check_divisibility,
                      commutant_dimension, hecke_matrix,
                      level_nilpotency_indices)
 from .theta import (CompositionLaw, boundary, t_of_prime, theta_coords,
-                    theta_series, verify_composition_group,
+                    theta_families, theta_series, verify_composition_group,
                     verify_hecke_on_theta, verify_kernel_characterization,
                     verify_span_equality, verify_theta_identities)
 
@@ -118,6 +118,42 @@ def check_m_table() -> tuple[list[str], str]:
     return bad, f"{len(M_TABLE_SMALL)} tabulated entries + power families r<=3"
 
 
+def _witness_functionals(level: int) -> dict[int, int]:
+    """For each low < level, the q^1 functional of the witness operator of
+    delta^(2*low + 1), the product of T_p over the odd prime factors p of
+    2*low + 1 (with multiplicity): row 0 of the product, carried through
+    one factor at a time."""
+    mats = {p: hecke_matrix(p, level).cols
+            for p in odd_primes(2 * level - 1)}
+    functionals = {}
+    for low in range(level):
+        row = 1
+        for p in odd_prime_factors(2 * low + 1):
+            row = sum(parity(row & c) << j for j, c in enumerate(mats[p]))
+        functionals[low] = row
+    return functionals
+
+
+def _first_failing_witness(functionals: dict[int, int],
+                           level: int) -> int | None:
+    """The least nonzero coords below 2^level on which the functional of
+    its lowest set bit reads 0, or None if every one reads 1.
+
+    The coords with lowest bit `low` are 1<<low | h, h over the bits in
+    (low, level), and on them the functional `row` of low reads bit low of
+    row plus the parity of row & h.  That is 1 for every h exactly when the bits of row
+    in [low, level) are {low}.  If bit low is clear, 1<<low fails first;
+    otherwise the least failing h is the lowest bit of the rest of row."""
+    failing = []
+    for low, row in functionals.items():
+        rest = row & ((1 << level) - (2 << low))
+        if not row >> low & 1:
+            failing.append(1 << low)
+        elif rest:
+            failing.append(1 << low | 1 << lowest_bit(rest))
+    return min(failing, default=None)
+
+
 @_check("m-basis-structure")
 def check_structure_suite() -> tuple[list[str], str]:
     """Shift action and uniqueness of the m-basis up to degree 6, duality
@@ -158,21 +194,10 @@ def check_structure_suite() -> tuple[list[str], str]:
 
     # pairing witness: factor the leading exponent m, apply those T_p, land
     # on q^1 coefficient 1 -- for all 65535 nonzero elements of the level-16
-    # space, which include the 255 of the level-8 space (coords < 2^8),
-    # reading only the q^1 functional of each witness operator: row 0 of
-    # the product, carried through one factor at a time
-    mats16 = {p: hecke_matrix(p, 16).cols for p in odd_primes(31)}
-    functionals = {}
-    for low in range(16):
-        row = 1
-        for p in odd_prime_factors(2 * low + 1):
-            row = sum(parity(row & c) << j for j, c in enumerate(mats16[p]))
-        functionals[low] = row
-    for coords in range(1, 1 << 16):
-        row = functionals[lowest_bit(coords)]
-        if (row & coords).bit_count() & 1 != 1:
-            bad.append(f"pairing witness fails for coords {coords:#x} (level 16)")
-            break
+    # space, which include the 255 of the level-8 space (coords < 2^8)
+    coords = _first_failing_witness(_witness_functionals(16), 16)
+    if coords is not None:
+        bad.append(f"pairing witness fails for coords {coords:#x} (level 16)")
 
     # divisibility: preimages of the level-3 space under u(T_3, T_5)
     found = []
@@ -479,17 +504,33 @@ def check_injectivity_witnesses() -> tuple[list[str], str]:
 @_check("theta-tables-identities")
 def check_theta_tables(precision: int = 4096) -> tuple[list[str], str]:
     """Theta tables for n <= 3 match the published values, and the identity
-    families hold for n <= 6 at the working precision."""
+    families hold for n <= 6 at the working precision.
+
+    Each index 0..6 is walked once per form and read both as the family
+    of index n and as the family one below index n + 1.  No index is
+    derived by descent, as `theta.theta_families` derives it: for odd a
+    the class b = t*a mod 2^(n-1) is the disjoint union of the classes
+    b = t*a and b = (t + 2^(n-1))*a mod 2^n, so a derived family satisfies
+    theta(t, n-1) = theta(t, n) + theta(t + 2^(n-1), n) by construction,
+    and that sum is one of the identities tested here."""
     bad = []
     for c, tbl in THETA_TABLE.items():
         for (t, n), want in tbl.items():
             got = theta_coords(t, n, c, 16).support_exponents()
             if got != want:
                 bad.append(f"theta(t={t},n={n},c={c}) = {got} != {want}")
-    for n in range(1, 7):
-        for c in (2, 4):
-            if not verify_theta_identities(n, c, precision):
-                bad.append(f"identities fail at n={n}, c={c}")
+    holds = {}
+    for c in (2, 4):
+        down = None
+        for n in range(7):
+            family = [theta_series(t, n, c, precision).bits
+                      for t in range(1 << n)]
+            if n:
+                holds[n, c] = verify_theta_identities(n, c, precision,
+                                                      family, down)
+            down = family
+    bad += [f"identities fail at n={n}, c={c}"
+            for n in range(1, 7) for c in (2, 4) if not holds[n, c]]
     return bad, ("tables n<=3 both forms; identities n<=6 at precision "
                  f"{precision}")
 
@@ -512,40 +553,52 @@ def check_span_equalities() -> tuple[list[str], str]:
 def check_hecke_on_theta(precision: int = 256) -> tuple[list[str], str]:
     """The Hecke action permutes theta indices through the composition law
     (split primes) or kills the family (inert primes), for all p <= 100 and
-    n <= 4; plus the closed-form special relations."""
+    n <= 4; plus the closed-form special relations.
+
+    Each form is walked once, at index 4 and precision max(p) * precision,
+    and indices 3, 2, 1 come by descent (`theta.theta_families`): for odd
+    a the class b = t*a mod 2^(n-1) is the disjoint union of the classes
+    b = t*a and b = (t + 2^(n-1))*a mod 2^n.  The special relations read
+    truncations of the same families to 2 * precision."""
     odd = odd_primes(100)
-    failed = {(n, c): set(verify_hecke_on_theta(odd, n, c, precision))
-              for c in (2, 4) for n in range(1, 5)}
-    bad = [f"p={p} n={n} c={c}" for p in odd for c in (2, 4)
-           for n in range(1, 5) if p in failed[n, c]]
-    for c, primes in SPECIAL_RELATION_PRIMES.items():
+    failed, special = {}, []
+    for c in (2, 4):
+        families = theta_families(4, c, max(odd) * precision)
+        for n in range(1, 5):
+            failed[n, c] = set(verify_hecke_on_theta(odd, n, c, precision,
+                                                     families[n]))
         for n in (1, 2, 3):
-            family = [theta_series(t, n, c, 2 * precision)
-                      for t in range(1 << n)]
             exponent = code_exponent(*boundary(1 << (n - 1), c))
-            for p in primes:
+            for p in SPECIAL_RELATION_PRIMES[c]:
                 tp = t_of_prime(p, n, c)
-                lhs = family[((1 << (n - 1)) - tp) % (1 << n)]
+                lhs = F2Series(families[n][((1 << (n - 1)) - tp) % (1 << n)],
+                               2 * precision)
                 rhs = hecke(p, delta_pow(exponent, p * 2 * precision))
                 if lhs != rhs:
-                    bad.append(f"special relation p={p} n={n} c={c}")
-    return bad, (f"p<=100, n<=4, both forms, precision {precision}; "
-                 "special relations n<=3")
+                    special.append(f"special relation p={p} n={n} c={c}")
+        del families  # the next form is walked with none of this one held
+    bad = [f"p={p} n={n} c={c}" for p in odd for c in (2, 4)
+           for n in range(1, 5) if p in failed[n, c]]
+    return bad + special, (f"p<=100, n<=4, both forms, precision {precision}; "
+                           "special relations n<=3")
 
 
 @_check("hecke-composition-compatibility")
 def check_composition_compatibility(precision: int = 128) -> tuple[list[str], str]:
     """Two Hecke operators acting on a theta series compose through the
-    law: T_p T_q theta equals the four-term index sum.  Each family is
-    built once at the deepest precision, max(primes)^2 * precision, and
+    law: T_p T_q theta equals the four-term index sum.  Each form is
+    walked once, at index 3 and the deepest precision, max(primes)^2 *
+    precision, and indices 2 and 1 come by descent (`theta.theta_families`):
+    for odd a the class b = t*a mod 2^(n-1) is the disjoint union of the
+    classes b = t*a and b = (t + 2^(n-1))*a mod 2^n.  Each family is
     truncated to p * q * precision for the pair (p, q)."""
     bad = []
     for c, primes in SPECIAL_RELATION_PRIMES.items():
+        families = theta_families(3, c, max(primes) ** 2 * precision)
         for n in (1, 2, 3):
             law = CompositionLaw(n, c)
             m = law.modulus
-            family = [theta_series(t, n, c, max(primes) ** 2 * precision).bits
-                      for t in range(m)]
+            family = families[n]
             for p in primes:
                 for q in primes:
                     tp, tq = t_of_prime(p, n, c), t_of_prime(q, n, c)
@@ -558,6 +611,7 @@ def check_composition_compatibility(precision: int = 128) -> tuple[list[str], st
                                 bits ^= family[law.compose(law.compose(t, sp), sq)]
                         if lhs != F2Series(bits, precision):
                             bad.append(f"p={p} q={q} t={t} n={n} c={c}")
+        del families, family  # the next form is walked with none of this one held
     return bad, "double action matches four-term sums, n<=3"
 
 

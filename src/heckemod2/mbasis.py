@@ -24,8 +24,7 @@ from itertools import compress
 from math import isqrt
 
 from . import spaces
-from .gf2 import (apply_columns, bit_flags, even_bits, iter_bits, rank,
-                  spread_bits)
+from .gf2 import apply_columns, bit_flags, iter_bits, rank, spread_bits
 from .primes import odd_primes
 from .series import F2Series, _odd_delta_power_bits
 from .spaces import (DeltaCoords, LevelExhausted, expand_in_delta_basis,
@@ -44,8 +43,11 @@ def code_of(k: int) -> MIndex:
     bits at odd positions those of b."""
     if k < 1 or k % 2 == 0:
         raise ValueError(f"expected an odd positive exponent, got {k}")
-    j = (k - 1) // 2
-    return even_bits(j), even_bits(j >> 1)
+    # one format of (k-1)/2: its last digit is bit 0, so the even bits are
+    # every other digit, from the first if the digit count is odd
+    digits = format(k >> 1, "b")
+    odd = len(digits) & 1
+    return int(digits[1 - odd::2], 2), int(digits[odd::2] or "0", 2)
 
 
 def code_exponent(a: int, b: int) -> int:

@@ -60,6 +60,23 @@ def theta_series(t: int, n: int, c: int, precision: int) -> F2Series:
     return F2Series(int(digits, 2), precision)
 
 
+def theta_families(n: int, c: int, precision: int) -> list[list[int]]:
+    """The bits of every theta family of index m <= n at one precision:
+    families[m][t] is theta(t, m, c) for t < 2^m.
+
+    Only index n is walked, one `theta_series` per t; every smaller index
+    comes by descent, theta(t, m-1) = theta(t, m) + theta(t + 2^(m-1), m).
+    For odd a the class b = t*a mod 2^(m-1) is the disjoint union of the
+    classes b = t*a and b = (t + 2^(m-1))*a mod 2^m, so the two series of
+    index m share out its lattice points, and the sum holds bit for bit at
+    every precision."""
+    families = [[theta_series(t, n, c, precision).bits for t in range(1 << n)]]
+    for m in range(n, 0, -1):
+        top, half = families[0], 1 << (m - 1)
+        families.insert(0, [top[t] ^ top[t + half] for t in range(half)])
+    return families
+
+
 def theta_coords(t: int, n: int, c: int, level: int) -> DeltaCoords:
     """Expansion of a theta series in the delta-power basis at a level."""
     return expand_in_delta_basis(theta_series(t, n, c, 2 * level - 1), level)
@@ -148,19 +165,22 @@ def t_of_prime(p: int, n: int, c: int) -> int:
     return values.pop()
 
 
-def verify_hecke_on_theta(primes, n: int, c: int, precision: int) -> list[int]:
+def verify_hecke_on_theta(primes, n: int, c: int, precision: int,
+                          family: list[int] | None = None) -> list[int]:
     """Check T_p theta_(t,n) for every canonical t and every p in `primes`
     against the composition-law prediction: zero for p in the inert
     classes, otherwise the two-term sum over the translations by t(p) and
     its inverse.  Returns the primes that fail, in the order given.
 
-    The family is built once, at the deepest precision any prime needs;
-    for each p the left side is T_p of its truncation to p * precision,
-    which is the honest q-expansion at that precision."""
+    The family is built once, at the deepest precision any prime needs,
+    unless `family` gives its bits at that precision or deeper (as from
+    `theta_families`); for each p the left side is T_p of its truncation
+    to p * precision, which is the honest q-expansion at that precision."""
     primes = list(primes)
     law = CompositionLaw(n, c)
-    family = [theta_series(t, n, c, max(primes) * precision).bits
-              for t in range(law.modulus)]
+    if family is None:
+        family = [theta_series(t, n, c, max(primes) * precision).bits
+                  for t in range(law.modulus)]
     failed = []
     for p in primes:
         shifts = ()
@@ -178,30 +198,39 @@ def verify_hecke_on_theta(primes, n: int, c: int, precision: int) -> list[int]:
     return failed
 
 
-def verify_theta_identities(n: int, c: int, precision: int) -> bool:
+def verify_theta_identities(n: int, c: int, precision: int,
+                            family: list[int] | None = None,
+                            down: list[int] | None = None) -> bool:
     """The identity family at one level: index 0 gives delta, reflection
     t <-> -t, index 2^(n-1) vanishes, descent to level n-1, and the
-    special index 2^(n-2) giving an explicit power of delta."""
+    special index 2^(n-2) giving an explicit power of delta.
+
+    `family` and `down` are the bits of the families of index n and n-1
+    at `precision`; each one not given is walked here.  A `down` derived
+    from `family` by `theta_families` would make the descent identity
+    hold by construction, so it must be walked on its own."""
     _validate_c(c)
     if n < 1:
         raise ValueError("n must be >= 1")
     modulus = 1 << n
-    family = {t: theta_series(t, n, c, precision) for t in range(modulus)}
-    if family[0] != delta(precision):
+    half = modulus // 2
+    if family is None:
+        family = [theta_series(t, n, c, precision).bits for t in range(modulus)]
+    if down is None:
+        down = [theta_series(t, n - 1, c, precision).bits for t in range(half)]
+    if family[0] != delta(precision).bits:
         return False
     for t in range(modulus):
         if family[t] != family[(modulus - t) % modulus]:
             return False
-    if not family[modulus // 2].is_zero:
+    if family[half]:
         return False
-    half = modulus // 2
-    down = [theta_series(t, n - 1, c, precision) for t in range(half)]
     for t in range(modulus):
-        if family[t] + family[(half - t) % modulus] != down[t % half]:
+        if family[t] ^ family[(half - t) % modulus] != down[t % half]:
             return False
     if n >= 2:
         e = code_exponent(*boundary(1 << (n - 2), c))
-        if e <= precision and family[modulus // 4] != delta_pow(e, precision):
+        if e <= precision and family[modulus // 4] != delta_pow(e, precision).bits:
             return False
     return True
 

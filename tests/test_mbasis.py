@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckemod2 import checks, mbasis, series, spaces
-from heckemod2.gf2 import GF2Matrix, LinearSolver, rank
+from heckemod2.gf2 import GF2Matrix, LinearSolver, even_bits, lowest_bit, rank
 from heckemod2.mbasis import (LevelExhausted, MBasis, chain_coefficients,
                               code_exponent, code_level, code_of, degree_level,
                               frobenian_report, odd_b_representations,
@@ -113,6 +113,40 @@ def test_structure_suite_certifies_uniqueness_at_fixed_levels(monkeypatch):
     monkeypatch.setattr(checks, "stacked_kernel_is_trivial", recording)
     assert checks.check_structure_suite().passed
     assert levels == [8, 16, 256]
+
+
+def first_failing_witness_by_scan(functionals):
+    """The least nonzero level-16 coords whose parity against the
+    functional of its lowest bit is even, by trying all 65535."""
+    for coords in range(1, 1 << 16):
+        if (functionals[lowest_bit(coords)] & coords).bit_count() & 1 != 1:
+            return coords
+    return None
+
+
+WITNESS_FUNCTIONALS = checks._witness_functionals(16)
+
+
+def test_witness_functionals_pass_the_scan():
+    assert first_failing_witness_by_scan(WITNESS_FUNCTIONALS) is None
+    assert checks._first_failing_witness(WITNESS_FUNCTIONALS, 16) is None
+
+
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                max_size=3))
+@example([(0, 0)])
+@example([(3, 9)])
+@example([(5, 2)])
+@settings(max_examples=60, deadline=None)
+def test_witness_by_lowest_bit_matches_the_scan(flips):
+    """Corrupted functionals (bit j of row `low` flipped) get the same
+    verdict and the same first failing coords from the 16-row reading as
+    from the scan over every coords."""
+    functionals = dict(WITNESS_FUNCTIONALS)
+    for low, j in flips:
+        functionals[low] ^= 1 << j
+    assert (checks._first_failing_witness(functionals, 16)
+            == first_failing_witness_by_scan(functionals))
 
 
 def test_m_table_check_builds_one_level(monkeypatch):
@@ -390,6 +424,26 @@ def test_closed_form_code_matches_m_expansion():
 def test_code_exponent_inverts_code(a, b):
     k = code_exponent(a, b)
     assert k % 2 == 1 and code_of(k) == (a, b)
+
+
+def code_of_by_even_bits(k):
+    """The code of odd k through two `even_bits` calls on (k-1)/2."""
+    j = (k - 1) // 2
+    return even_bits(j), even_bits(j >> 1)
+
+
+def test_code_of_reads_one_format_below_2_15():
+    for k in range(1, 1 << 15, 2):
+        assert code_of(k) == code_of_by_even_bits(k), k
+
+
+@given(st.integers(0, 1 << 199))
+@example(0)
+@example(1)
+@settings(max_examples=200, deadline=None)
+def test_code_of_reads_one_format(j):
+    k = 2 * j + 1
+    assert code_of(k) == code_of_by_even_bits(k)
 
 
 def test_code_needs_no_level():

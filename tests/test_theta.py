@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 import tracemalloc
 from math import isqrt
 
@@ -14,7 +15,7 @@ from heckemod2.primes import odd_primes
 from heckemod2.series import F2Series, delta, delta_pow, hecke
 from heckemod2.theta import (CompositionLaw, NoRepresentation,
                              representable_mask, t_of_prime, theta_coords,
-                             theta_level, theta_series,
+                             theta_families, theta_level, theta_series,
                              verify_composition_group,
                              verify_hecke_on_theta,
                              verify_kernel_characterization,
@@ -100,6 +101,79 @@ def test_theta_identities():
     for n in range(1, 5):
         for c in (2, 4):
             assert verify_theta_identities(n, c, 1024), (n, c)
+
+
+@given(st.integers(0, 7), st.sampled_from((2, 4)), st.integers(0, 6000))
+@example(7, 4, 6000)
+@example(7, 2, 0)
+@example(0, 2, 1)
+@settings(max_examples=40, deadline=None)
+def test_theta_families_descend_bit_for_bit(n, c, precision):
+    """Every family derived by descent equals the family walked directly."""
+    families = theta_families(n, c, precision)
+    assert len(families) == n + 1
+    for m, family in enumerate(families):
+        assert family == [theta_series(t, m, c, precision).bits
+                          for t in range(1 << m)], m
+
+
+def test_theta_tables_check_walks_every_index(monkeypatch):
+    """One wrong series at index 3 fails the identities at n = 3 (its
+    reflection) and n = 4 (descent onto it): the tables check walks every
+    index on its own instead of deriving it from a deeper one."""
+    real = theta.theta_series
+
+    def corrupted(t, n, c, precision):
+        series = real(t, n, c, precision)
+        if (t, n, c, precision) == (1, 3, 2, 4096):
+            return F2Series(series.bits ^ 1 << 1000, precision)
+        return series
+    monkeypatch.setattr(theta, "theta_series", corrupted)
+    monkeypatch.setattr(checks, "theta_series", corrupted)
+    result = checks.check_theta_tables(4096)
+    assert not result.passed
+    assert result.details == ("identities fail at n=3, c=2; "
+                              "identities fail at n=4, c=2")
+
+
+def test_theta_checks_walk_each_family_once(monkeypatch):
+    """Per check of the theta suite, the lattice walks at its working
+    precision: hecke-on-theta walks index 4 and compatibility index 3,
+    once per form, and the tables check every index 0..6 once per form;
+    no series is walked twice, and one form is done before the other."""
+    walks = []
+    running = [None]
+    real = theta.theta_series
+
+    def spy(t, n, c, precision):
+        walks.append((running[0], t, n, c, precision))
+        return real(t, n, c, precision)
+    monkeypatch.setattr(theta, "theta_series", spy)
+    monkeypatch.setattr(checks, "theta_series", spy)
+
+    def labelled(check):
+        def run():
+            running[0] = check.__name__
+            return check()
+        return run
+    monkeypatch.setitem(checks.SUITES, "theta",
+                        [labelled(fn) for fn in checks.SUITES["theta"]])
+    assert all(result.passed for result in checks.run_suite("theta"))
+
+    for name, precision, want in (
+            ("check_hecke_on_theta", 97 * 256, {4: 16}),
+            ("check_composition_compatibility", 17 ** 2 * 128, {3: 8}),
+            ("check_theta_tables", 4096, {n: 1 << n for n in range(7)})):
+        series = [(c, n, t) for check, t, n, c, p in walks
+                  if check == name and p == precision]
+        assert len(set(series)) == len(series), name
+        assert series == sorted(series, key=lambda s: s[0]), name
+        assert Counter((n, c) for c, n, t in series) == {
+            (n, c): count for n, count in want.items() for c in (2, 4)}, name
+    assert {p for check, *_, p in walks
+            if check == "check_hecke_on_theta"} == {97 * 256}
+    assert {p for check, *_, p in walks
+            if check == "check_composition_compatibility"} == {17 ** 2 * 128}
 
 
 def test_theta_special_values():
