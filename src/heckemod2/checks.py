@@ -25,7 +25,7 @@ from .series import F2Series, delta_pow, hecke
 from .spaces import (AlgebraSpan, DeltaCoords, check_divisibility,
                      commutant_dimension, hecke_matrix,
                      level_nilpotency_indices)
-from .theta import (CompositionLaw, boundary, t_of_prime, theta_coords,
+from .theta import (boundary, hecke_mismatches, t_of_prime, theta_coords,
                     theta_families, theta_series, verify_composition_group,
                     verify_hecke_on_theta, verify_kernel_characterization,
                     verify_span_equality, verify_theta_identities)
@@ -506,13 +506,9 @@ def check_theta_tables(precision: int = 4096) -> tuple[list[str], str]:
     """Theta tables for n <= 3 match the published values, and the identity
     families hold for n <= 6 at the working precision.
 
-    Each index 0..6 is walked once per form and read both as the family
-    of index n and as the family one below index n + 1.  No index is
-    derived by descent, as `theta.theta_families` derives it: for odd a
-    the class b = t*a mod 2^(n-1) is the disjoint union of the classes
-    b = t*a and b = (t + 2^(n-1))*a mod 2^n, so a derived family satisfies
-    theta(t, n-1) = theta(t, n) + theta(t + 2^(n-1), n) by construction,
-    and that sum is one of the identities tested here."""
+    Each index 0..6 is walked once per form, read as family n and as the
+    family below n + 1.  None is derived by descent
+    (`theta.theta_families`), since descent is an identity tested here."""
     bad = []
     for c, tbl in THETA_TABLE.items():
         for (t, n), want in tbl.items():
@@ -521,14 +517,11 @@ def check_theta_tables(precision: int = 4096) -> tuple[list[str], str]:
                 bad.append(f"theta(t={t},n={n},c={c}) = {got} != {want}")
     holds = {}
     for c in (2, 4):
-        down = None
-        for n in range(7):
-            family = [theta_series(t, n, c, precision).bits
-                      for t in range(1 << n)]
-            if n:
-                holds[n, c] = verify_theta_identities(n, c, precision,
-                                                      family, down)
-            down = family
+        walked = [[theta_series(t, n, c, precision).bits for t in range(1 << n)]
+                  for n in range(7)]
+        for n in range(1, 7):
+            holds[n, c] = verify_theta_identities(n, c, precision, walked[n],
+                                                  walked[n - 1])
     bad += [f"identities fail at n={n}, c={c}"
             for n in range(1, 7) for c in (2, 4) if not holds[n, c]]
     return bad, ("tables n<=3 both forms; identities n<=6 at precision "
@@ -556,10 +549,9 @@ def check_hecke_on_theta(precision: int = 256) -> tuple[list[str], str]:
     n <= 4; plus the closed-form special relations.
 
     Each form is walked once, at index 4 and precision max(p) * precision,
-    and indices 3, 2, 1 come by descent (`theta.theta_families`): for odd
-    a the class b = t*a mod 2^(n-1) is the disjoint union of the classes
-    b = t*a and b = (t + 2^(n-1))*a mod 2^n.  The special relations read
-    truncations of the same families to 2 * precision."""
+    and indices 3, 2, 1 come by descent (`theta.theta_families`).  The
+    special relations read truncations of the same families to 2 *
+    precision."""
     odd = odd_primes(100)
     failed, special = {}, []
     for c in (2, 4):
@@ -586,32 +578,20 @@ def check_hecke_on_theta(precision: int = 256) -> tuple[list[str], str]:
 @_check("hecke-composition-compatibility")
 def check_composition_compatibility(precision: int = 128) -> tuple[list[str], str]:
     """Two Hecke operators acting on a theta series compose through the
-    law: T_p T_q theta equals the four-term index sum.  Each form is
-    walked once, at index 3 and the deepest precision, max(primes)^2 *
-    precision, and indices 2 and 1 come by descent (`theta.theta_families`):
-    for odd a the class b = t*a mod 2^(n-1) is the disjoint union of the
-    classes b = t*a and b = (t + 2^(n-1))*a mod 2^n.  Each family is
-    truncated to p * q * precision for the pair (p, q)."""
+    law: T_p T_q theta equals the four-term index sum
+    (`theta.hecke_mismatches` on the word (p, q)).  Each form is walked
+    once, at index 3 and the deepest precision, max(primes)^2 * precision,
+    and indices 2 and 1 come by descent (`theta.theta_families`)."""
     bad = []
     for c, primes in SPECIAL_RELATION_PRIMES.items():
         families = theta_families(3, c, max(primes) ** 2 * precision)
         for n in (1, 2, 3):
-            law = CompositionLaw(n, c)
-            m = law.modulus
-            family = families[n]
             for p in primes:
                 for q in primes:
-                    tp, tq = t_of_prime(p, n, c), t_of_prime(q, n, c)
-                    for t in range(m // 2 + 1):
-                        lhs = hecke(p, hecke(q, F2Series(family[t],
-                                                         p * q * precision)))
-                        bits = 0
-                        for sp in (tp, law.inverse(tp)):
-                            for sq in (tq, law.inverse(tq)):
-                                bits ^= family[law.compose(law.compose(t, sp), sq)]
-                        if lhs != F2Series(bits, precision):
-                            bad.append(f"p={p} q={q} t={t} n={n} c={c}")
-        del families, family  # the next form is walked with none of this one held
+                    bad += [f"p={p} q={q} t={t} n={n} c={c}" for t in
+                            hecke_mismatches((p, q), n, c, precision,
+                                             families[n])]
+        del families  # the next form is walked with none of this one held
     return bad, "double action matches four-term sums, n<=3"
 
 

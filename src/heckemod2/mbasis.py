@@ -221,9 +221,11 @@ class MBasis:
     Nothing is built at construction.  A request that needs a higher level
     moves the table there once, at least doubling the level, and rebuilds
     there the T_3/T_5 columns and the certified pairing table phi; no entry
-    is stored.  `element` and `recompose` are the same triangular solve on
-    phi, and `coefficients` is phi.f.  A level over `spaces.LEVEL_CAP`
-    raises LevelExhausted before anything is built.
+    is stored.  Growth doubles because each move rebuilds those columns
+    from k = 0 and `hecke_matrix` keeps one matrix per level visited.
+    `element` and `recompose` are the same triangular solve on phi, and
+    `coefficients` is phi.f.  A level over `spaces.LEVEL_CAP` raises
+    LevelExhausted before anything is built.
     Delta powers, for T_p expansions, are taken at the working precision:
     the largest q^p a T_p read has asked for.  Construction is sequential;
     a completed table is read-only for consumers.

@@ -212,7 +212,9 @@ def _checked_columns(p: int, n: int) -> tuple[int, ...]:
     stored once it passes.  Every level returned is checked strictly
     triangular, which for a prefix of exact delta-coordinates also puts
     T_p delta^(2k+1), k < n, in level k, so the level is stable.  Either
-    violation is an arithmetic bug, never a mathematical possibility."""
+    violation is an arithmetic bug, never a mathematical possibility.
+    A larger level is rebuilt from k = 0, so asking for n = 1, 2, ..., N
+    in turn costs about N builds; every caller asks for its top first."""
     if not is_odd_prime(p):
         raise ValueError(f"Hecke matrix requires an odd prime, got {p}")
     if n < 1:

@@ -11,7 +11,7 @@ cancellation mod 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 from .gf2 import Span, rank
 from .mbasis import MBasis, MIndex, code_exponent, code_level
@@ -35,9 +35,9 @@ def _validate_c(c: int):
 def theta_series(t: int, n: int, c: int, precision: int) -> F2Series:
     """q-expansion of the theta series of index (t, n), form x^2 + c*y^2.
 
-    The coefficients live in one buffer of binary digits, digits[precision
-    - e] for q^e: each lattice point toggles its digit, so the points b and
-    -b cancel exactly, and the buffer is read as an int once at the end.
+    The coefficients live in one packed buffer, bit e & 7 of byte e >> 3
+    for q^e: each lattice point toggles its bit, so the points b and -b
+    cancel exactly, and the buffer is read as an int once at the end.
     """
     _validate_c(c)
     if n < 0:
@@ -46,18 +46,21 @@ def theta_series(t: int, n: int, c: int, precision: int) -> F2Series:
         raise ValueError("precision must be >= 0")
     modulus = 1 << n
     t %= modulus
-    digits = bytearray(b"0" * (precision + 1))
+    buf = bytearray(precision // 8 + 1)
     a = 1
-    while a * a <= precision:
-        bound = isqrt((precision - a * a) // c)
+    while (aa := a * a) <= precision:
+        bound = isqrt((precision - aa) // c)
         r = (t * a) % modulus
         k = -((bound + r) // modulus)
         b = r + k * modulus
         while b <= bound:
-            digits[precision - a * a - c * b * b] ^= 1
+            e = aa + c * b * b
+            buf[e >> 3] ^= 1 << (e & 7)
             b += modulus
         a += 2
-    return F2Series(int(digits, 2), precision)
+    bits = int.from_bytes(buf, "little")
+    del buf  # F2Series masks its bits: hold one copy of them, not two
+    return F2Series(bits, precision)
 
 
 def theta_families(n: int, c: int, precision: int) -> list[list[int]]:
@@ -165,59 +168,57 @@ def t_of_prime(p: int, n: int, c: int) -> int:
     return values.pop()
 
 
-def verify_hecke_on_theta(primes, n: int, c: int, precision: int,
-                          family: list[int] | None = None) -> list[int]:
-    """Check T_p theta_(t,n) for every canonical t and every p in `primes`
-    against the composition-law prediction: zero for p in the inert
-    classes, otherwise the two-term sum over the translations by t(p) and
-    its inverse.  Returns the primes that fail, in the order given.
+def hecke_mismatches(word, n: int, c: int, precision: int, family: list[int]):
+    """Yield, in ascending order, each t <= 2^(n-1) at which T_word
+    theta(t, n), the product of T_p over `word`, misses the composition
+    law at `precision`: the sum of theta(t * s, n) over s = s_1 * ... * s_k
+    with s_i in {t(p_i), t(p_i)^-1}, empty if some p_i is inert.  `family`
+    is the bits of the index-n family at prod(word) * precision or deeper
+    (as from `theta_families`): T_word of that truncation is the honest
+    q-expansion at `precision`."""
+    law, depth = CompositionLaw(n, c), prod(word) * precision
+    shifts = [0]
+    for p in word:
+        if p % 8 in INERT_CLASSES[c]:
+            shifts = []
+            break
+        tp = t_of_prime(p, n, c)
+        shifts = [law.compose(s, x) for s in shifts
+                  for x in (tp, law.inverse(tp))]
+    for t in range(law.modulus // 2 + 1):
+        lhs = F2Series(family[t], depth)
+        for p in word:
+            lhs = hecke(p, lhs)
+        rhs = 0
+        for s in shifts:
+            rhs ^= family[law.compose(t, s)]
+        if lhs != F2Series(rhs, precision):
+            yield t
 
-    The family is built once, at the deepest precision any prime needs,
-    unless `family` gives its bits at that precision or deeper (as from
-    `theta_families`); for each p the left side is T_p of its truncation
-    to p * precision, which is the honest q-expansion at that precision."""
-    primes = list(primes)
-    law = CompositionLaw(n, c)
-    if family is None:
-        family = [theta_series(t, n, c, max(primes) * precision).bits
-                  for t in range(law.modulus)]
-    failed = []
-    for p in primes:
-        shifts = ()
-        if p % 8 not in INERT_CLASSES[c]:
-            tp = t_of_prime(p, n, c)
-            shifts = (tp, law.inverse(tp))
-        for t in range(law.modulus // 2 + 1):
-            lhs = hecke(p, F2Series(family[t], p * precision))
-            rhs = 0
-            for s in shifts:
-                rhs ^= family[law.compose(t, s)]
-            if lhs != F2Series(rhs, precision):
-                failed.append(p)
-                break
-    return failed
+
+def verify_hecke_on_theta(primes, n: int, c: int, precision: int,
+                          family: list[int]) -> list[int]:
+    """The primes p, in the order given, at which `hecke_mismatches` finds
+    a t for the word (p,); `family` is the bits of the index-n family at
+    max(primes) * precision or deeper."""
+    return [p for p in primes if any(
+        True for _ in hecke_mismatches((p,), n, c, precision, family))]
 
 
 def verify_theta_identities(n: int, c: int, precision: int,
-                            family: list[int] | None = None,
-                            down: list[int] | None = None) -> bool:
+                            family: list[int], down: list[int]) -> bool:
     """The identity family at one level: index 0 gives delta, reflection
     t <-> -t, index 2^(n-1) vanishes, descent to level n-1, and the
     special index 2^(n-2) giving an explicit power of delta.
 
     `family` and `down` are the bits of the families of index n and n-1
-    at `precision`; each one not given is walked here.  A `down` derived
-    from `family` by `theta_families` would make the descent identity
-    hold by construction, so it must be walked on its own."""
+    at `precision`, each walked on its own: a `down` derived by
+    `theta_families` would satisfy descent by construction."""
     _validate_c(c)
     if n < 1:
         raise ValueError("n must be >= 1")
     modulus = 1 << n
     half = modulus // 2
-    if family is None:
-        family = [theta_series(t, n, c, precision).bits for t in range(modulus)]
-    if down is None:
-        down = [theta_series(t, n - 1, c, precision).bits for t in range(half)]
     if family[0] != delta(precision).bits:
         return False
     for t in range(modulus):
@@ -299,7 +300,7 @@ def verify_composition_group(n: int, c: int) -> bool:
     (1 + t)^k = a_k + b_k t is [1 + phi(k)t], phi(k) = b_k/a_k, the k-th
     power of 1 under *: if phi(0..m-1) are pairwise distinct and b_m = 0,
     then [1 + t] has order exactly m and the group is cyclic, generated by
-    1.  Last, the inverse that `verify_hecke_on_theta` uses is checked
+    1.  Last, the inverse that `hecke_mismatches` uses is checked
     directly.
     """
     law = CompositionLaw(n, c)

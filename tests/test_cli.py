@@ -1,13 +1,17 @@
 """Command-line interface: schemas, round trips, determinism, exit codes."""
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from heckemod2 import checks, cli, mbasis, spaces, theta
 from heckemod2.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -272,9 +276,12 @@ def test_determinism(capsys):
 
 
 def test_console_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-m", "heckemod2.cli", "m-table", "--degree", "0"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "(0,0): 1\n"

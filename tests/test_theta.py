@@ -14,7 +14,7 @@ from heckemod2 import checks, theta
 from heckemod2.primes import odd_primes
 from heckemod2.series import F2Series, delta, delta_pow, hecke
 from heckemod2.theta import (CompositionLaw, NoRepresentation,
-                             representable_mask, t_of_prime, theta_coords,
+                             hecke_mismatches, representable_mask, t_of_prime, theta_coords,
                              theta_families, theta_level, theta_series,
                              verify_composition_group,
                              verify_hecke_on_theta,
@@ -75,6 +75,19 @@ def test_theta_digit_buffer_matches_reference(t, n, c, precision):
             == theta_series_reference(t, n, c, precision).bits)
 
 
+def test_theta_series_memory_is_packed():
+    """One bit per coefficient: at P = 10^6 the walk peaks below P/2
+    bytes (a byte per coefficient took 2.0 MB)."""
+    precision = 10 ** 6
+    tracemalloc.start()
+    try:
+        theta_series(1, 3, 2, precision)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < precision // 2, peak
+
+
 def test_theta_matches_oracle():
     rng = random.Random(7)
     for _ in range(20):
@@ -98,9 +111,12 @@ def test_theta_zero_index_is_delta():
 
 
 def test_theta_identities():
-    for n in range(1, 5):
-        for c in (2, 4):
-            assert verify_theta_identities(n, c, 1024), (n, c)
+    for c in (2, 4):
+        walked = [[theta_series(t, n, c, 1024).bits for t in range(1 << n)]
+                  for n in range(5)]
+        for n in range(1, 5):
+            assert verify_theta_identities(n, c, 1024, walked[n],
+                                           walked[n - 1]), (n, c)
 
 
 @given(st.integers(0, 7), st.sampled_from((2, 4)), st.integers(0, 6000))
@@ -419,8 +435,23 @@ def test_inert_primes_kill_family():
 
 def test_verify_hecke_on_theta_split_primes():
     for c, primes in ((2, (3, 11, 17)), (4, (5, 13, 17))):
+        families = theta_families(3, c, max(primes) * 128)
         for n in (1, 2, 3):
-            assert verify_hecke_on_theta(primes, n, c, 128) == [], (n, c)
+            assert verify_hecke_on_theta(primes, n, c, 128,
+                                         families[n]) == [], (n, c)
+
+
+def test_hecke_mismatches_inert_word_predicts_zero():
+    """A word with an inert prime kills the family of x^2 + 2y^2: the
+    prediction is the empty sum, and it fails at every t once each series
+    carries a stray q^45, which T_5 T_3 takes to q^3."""
+    families = theta_families(3, 2, 7 * 11 * 64)
+    for n in (1, 2, 3):
+        for word in ((5,), (3, 5), (5, 3), (7, 11)):
+            assert list(hecke_mismatches(word, n, 2, 64,
+                                         families[n])) == [], (word, n)
+    broken = [bits ^ 1 << 45 for bits in families[2]]
+    assert list(hecke_mismatches((3, 5), 2, 2, 3, broken)) == [0, 1, 2]
 
 
 def hecke_on_theta_reference(p, n, c, precision):
@@ -459,10 +490,12 @@ def test_batched_hecke_on_theta_matches_reference(corrupt, monkeypatch):
     primes = odd_primes(50)
     rejected = 0
     for c in (2, 4):
+        families = theta_families(3, c, max(primes) * 64)
         for n in (1, 2, 3):
             want = [p for p in primes
                     if not hecke_on_theta_reference(p, n, c, 64)]
-            assert verify_hecke_on_theta(primes, n, c, 64) == want, (n, c)
+            assert verify_hecke_on_theta(primes, n, c, 64,
+                                         families[n]) == want, (n, c)
             rejected += len([p for p in want
                              if p % 8 not in theta.INERT_CLASSES[c]])
     assert (rejected > 0) == corrupt
@@ -490,7 +523,7 @@ def composition_compatibility_reference(precision):
             law = CompositionLaw(n, c)
             for p in primes:
                 for q in primes:
-                    tp, tq = checks.t_of_prime(p, n, c), checks.t_of_prime(q, n, c)
+                    tp, tq = theta.t_of_prime(p, n, c), theta.t_of_prime(q, n, c)
                     for t in range(law.modulus // 2 + 1):
                         lhs = hecke(p, hecke(q, theta_series(
                             t, n, c, p * q * precision)))
@@ -509,7 +542,7 @@ def test_composition_compatibility_matches_reference(corrupt, monkeypatch):
     """The truncated families fail on the shifted law, and name the same
     (p, q, t, n, c) as the reference built series by series."""
     if corrupt:
-        shift_translations(monkeypatch, checks)
+        shift_translations(monkeypatch, theta)
     want = composition_compatibility_reference(64)
     assert bool(want) == corrupt
     result = checks.check_composition_compatibility(64)
